@@ -24,6 +24,7 @@ from .homology import (
     cycle_subspace,
     element_vector,
     is_cycle,
+    nonzero_face,
     normalized_complex,
     normalized_subspace,
     same_class,
@@ -53,7 +54,6 @@ from .operations import (
     NotNormalizedCycleError,
     ShufflePair,
     anchored_shuffle_pairs,
-    degeneracy_word,
     delta_i,
     delta_report,
     delta_via_em,
@@ -83,6 +83,7 @@ from .transforms import (
     higher_shuffle,
     identity_transform,
     shuffle_map,
+    shuffles,
     suspend,
     twist,
     word_pair,
@@ -96,6 +97,7 @@ from .words import (
     ZERO_FORM,
     face,
     degeneracy,
+    degeneracy_word,
     is_defined,
     normalize,
     normalize_sum,

@@ -2,8 +2,7 @@
 
 Every run is deterministic: identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
-configuration.  The environment variable SIMPDELTA_THREADS caps the
-worker count requested with --threads.
+configuration.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .homology import associated_complex, normalized_complex
 from .models import (
@@ -24,7 +21,7 @@ from .models import (
     sphere_model,
 )
 from .operations import delta_report
-from .relations import check_relation, relation_names
+from .relations import FAMILIES, check_relation, relation_names
 from .transforms import (
     EMTransform,
     boundary_left,
@@ -47,19 +44,6 @@ class _ConfigError(Exception):
     pass
 
 
-def _effective_threads(requested: int) -> int:
-    if requested < 1:
-        raise _ConfigError("--threads must be >= 1")
-    cap = os.environ.get("SIMPDELTA_THREADS")
-    if cap is None:
-        return requested
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise _ConfigError(f"SIMPDELTA_THREADS must be an integer, got {cap!r}")
-    return max(1, min(requested, cap_value))
-
-
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
@@ -80,21 +64,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-_FAMILIES = ("simp", "dwyer", "lemma3", "chainmap", "all")
-
-
-def _family_names(family: str, max_k: int) -> list[str]:
-    if family == "simp":
-        return ["simp0", "simp1", "simp2", "simp3", "simp4", "simp5", "d0-word"]
-    if family == "dwyer":
-        return [f"dwyer-{k}" for k in range(max_k + 1)]
-    if family == "lemma3":
-        return [f"recursion-{k}" for k in range(1, max_k + 1)]
-    if family == "chainmap":
-        return ["D-chain-map", "D-chain-map-numeric"]
-    return relation_names(max_k)
-
-
 def _cmd_verify(args) -> int:
     if args.max_total < 0:
         raise _ConfigError("--max-total must be >= 0")
@@ -105,17 +74,10 @@ def _cmd_verify(args) -> int:
             f"the Dwyer window needs 2*max_k <= max_total "
             f"(got max_k={args.max_k}, max_total={args.max_total})"
         )
-    names = _family_names(args.family, args.max_k)
-    threads = _effective_threads(args.threads)
-
-    def run(name: str):
-        return check_relation(name, args.max_total)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, names))
-    else:
-        results = [run(name) for name in names]
+    results = [
+        check_relation(name, args.max_total)
+        for name in relation_names(args.max_k, args.family)
+    ]
     passed = all(r.passed for r in results)
 
     if args.format == "json":
@@ -309,8 +271,6 @@ def _cmd_dump(args) -> int:
 def _add_common(sub, formats=("json", "csv", "text"), default="json"):
     sub.add_argument("--format", choices=formats, default=default)
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     verify = subs.add_parser("verify", help="run a family of identity sweeps")
-    verify.add_argument("family", choices=_FAMILIES)
+    verify.add_argument("family", choices=FAMILIES)
     verify.add_argument("--max-total", type=int, default=8)
     verify.add_argument("--max-k", type=int, default=4)
     _add_common(verify, default="text")
@@ -334,6 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delta.add_argument("--poly", type=int, default=2)
     delta.add_argument("--perturbations", type=int, default=2)
     _add_common(delta)
+    delta.add_argument("--seed", type=int, default=0)
     delta.set_defaults(handler=_cmd_delta)
 
     hom = subs.add_parser("homology", help="Betti tables for both chain complexes")

@@ -132,24 +132,7 @@ def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComp
     """
     top = model.max_degree if max_degree is None else max_degree
     model_labels = [list(model.basis(q)) for q in range(top + 1)]
-    nbases: list[list[int]] = []
-    for q in range(top + 1):
-        dim = len(model_labels[q])
-        if q == 0:
-            nbases.append([1 << c for c in range(dim)])
-            continue
-        index = _index_map(model_labels[q - 1])
-        lower = len(model_labels[q - 1])
-        cols = []
-        for lbl in model_labels[q]:
-            stacked = 0
-            for r in range(1, q + 1):
-                img = model.face_label(r, lbl, q)
-                if img is not None:
-                    stacked ^= 1 << (index[img] + (r - 1) * lower)
-            cols.append(stacked)
-        kernel = F2Matrix(lower * q, cols).kernel_basis()
-        nbases.append(reduced_echelon(kernel))
+    nbases = [_face_kernel(model, q, model_labels[q], 1) for q in range(top + 1)]
 
     def d0(q: int, vec: int) -> int:
         index = _index_map(model_labels[q - 1])
@@ -184,12 +167,16 @@ def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComp
     return ChainComplexF2(labels, diff)
 
 
-def _kernel_elements(
-    model: Model, q: int, labels: list, first_face: int
-) -> list[F2Element]:
+def _face_kernel(model: Model, q: int, labels, first_face: int) -> list[int]:
+    """Reduced-echelon basis of the common kernel of d_first_face .. d_q.
+
+    The faces are stacked into one matrix whose columns are the labels;
+    the basis vectors are bitmasks over ``labels``.  In degree 0 every
+    face lands in the zero space, so the kernel is everything.
+    """
     if q == 0:
-        return [F2Element(0, frozenset([lbl])) for lbl in labels]
-    lower = list(model.basis(q - 1))
+        return [1 << c for c in range(len(labels))]
+    lower = model.basis(q - 1)
     index = _index_map(lower)
     cols = []
     for lbl in labels:
@@ -200,16 +187,17 @@ def _kernel_elements(
                 stacked ^= 1 << (index[img] + (r - first_face) * len(lower))
         cols.append(stacked)
     rows = len(lower) * (q + 1 - first_face)
-    kernel = F2Matrix(rows, cols).kernel_basis()
-    return [
-        F2Element(q, frozenset(labels[c] for c in bits(vec)))
-        for vec in reduced_echelon(kernel)
-    ]
+    return reduced_echelon(F2Matrix(rows, cols).kernel_basis())
+
+
+def _elements(q: int, labels, vectors: list[int]) -> list[F2Element]:
+    return [F2Element(q, frozenset(labels[c] for c in bits(v))) for v in vectors]
 
 
 def normalized_subspace(model: Model, q: int) -> list[F2Element]:
     """Echelon basis of the common kernel of d_1, ..., d_q in degree q."""
-    return _kernel_elements(model, q, list(model.basis(q)), 1)
+    labels = model.basis(q)
+    return _elements(q, labels, _face_kernel(model, q, labels, 1))
 
 
 def cycle_subspace(model: Model, q: int, labels=None) -> list[F2Element]:
@@ -218,9 +206,8 @@ def cycle_subspace(model: Model, q: int, labels=None) -> list[F2Element]:
     Restricting to a face-stable subset of basis labels cuts the search
     to that slice of the model.
     """
-    if labels is None:
-        labels = list(model.basis(q))
-    return _kernel_elements(model, q, list(labels), 0)
+    labels = list(model.basis(q) if labels is None else labels)
+    return _elements(q, labels, _face_kernel(model, q, labels, 0))
 
 
 def element_vector(model: Model, complex_labels: list[str], x: F2Element) -> int:
@@ -232,16 +219,21 @@ def element_vector(model: Model, complex_labels: list[str], x: F2Element) -> int
     return v
 
 
+def nonzero_face(model: Model, x: F2Element) -> int | None:
+    """Index of the first face of x that does not vanish, or None."""
+    for r in range(x.degree + 1):
+        if model.apply_generator(("d", r), x):
+            return r
+    return None
+
+
 def is_cycle(model: Model, x: F2Element, mode: str = "normalized") -> bool:
     """Cycle test straight from the face actions, no complex needed.
 
     normalized: every face of x vanishes; associated: the face sum does.
     """
     if mode == "normalized":
-        for r in range(x.degree + 1):
-            if model.apply_generator(("d", r), x):
-                return False
-        return True
+        return nonzero_face(model, x) is None
     if mode == "associated":
         return not model.boundary(x)
     raise ValueError(f"unknown cycle mode {mode!r}")

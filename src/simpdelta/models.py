@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .words import Word, OutOfRangeError, DEGENERACY
+from .words import Word, OutOfRangeError, DEGENERACY, degeneracy, face
 
 
 class TruncationOverflowError(Exception):
@@ -403,26 +403,21 @@ def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list
     top = model.max_degree if up_to is None else up_to
     bad: list[str] = []
 
-    def app(generators, label, degree):
-        x = model.element([label], degree)
-        for g in reversed(generators):
-            x = model.apply_generator(g, x)
-        return x
-
     for m in range(top + 1):
         for label in model.basis(m):
+            x = model.element([label], m)
             for j in range(m + 1):
                 # d_i d_j = d_{j-1} d_i  (i < j)
                 for i in range(j):
-                    lhs = app([("d", i), ("d", j)], label, m)
-                    rhs = app([("d", j - 1), ("d", i)], label, m)
+                    lhs = model.apply_word(face(i) * face(j), x)
+                    rhs = model.apply_word(face(j - 1) * face(i), x)
                     if lhs != rhs:
                         bad.append(f"{model.name}: d{i} d{j} on {label} at degree {m}")
                 # s_i s_j = s_{j+1} s_i  (i <= j), needs headroom of two
                 if m + 2 <= model.max_degree:
                     for i in range(j + 1):
-                        lhs = app([("s", i), ("s", j)], label, m)
-                        rhs = app([("s", j + 1), ("s", i)], label, m)
+                        lhs = model.apply_word(degeneracy(i) * degeneracy(j), x)
+                        rhs = model.apply_word(degeneracy(j + 1) * degeneracy(i), x)
                         if lhs != rhs:
                             bad.append(
                                 f"{model.name}: s{i} s{j} on {label} at degree {m}"
@@ -430,13 +425,13 @@ def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list
                 # d_i s_j, all three cases
                 if m + 1 <= model.max_degree:
                     for i in range(m + 2):
-                        lhs = app([("d", i), ("s", j)], label, m)
+                        lhs = model.apply_word(face(i) * degeneracy(j), x)
                         if i == j or i == j + 1:
-                            rhs = model.element([label], m)
+                            rhs = x
                         elif i < j:
-                            rhs = app([("s", j - 1), ("d", i)], label, m)
+                            rhs = model.apply_word(degeneracy(j - 1) * face(i), x)
                         else:
-                            rhs = app([("s", j), ("d", i - 1)], label, m)
+                            rhs = model.apply_word(degeneracy(j) * face(i - 1), x)
                         if lhs != rhs:
                             bad.append(
                                 f"{model.name}: d{i} s{j} on {label} at degree {m}"

@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
-from .homology import is_cycle, normalized_subspace, same_class
+from .homology import is_cycle, nonzero_face, normalized_subspace, same_class
 from .models import AlgebraModel, F2Element, evaluate_em, tensor
-from .transforms import higher_shuffle
-from .words import DEGENERACY, FACE, Word
+from .transforms import higher_shuffle, shuffles
+from .words import degeneracy_word
 
 
 class BadRangeError(Exception):
@@ -51,13 +50,7 @@ def shuffle_pairs(q: int, i: int) -> list[ShufflePair]:
     """
     if not 1 <= i <= q:
         raise BadRangeError(f"need 1 <= i <= q, got i={i}, q={q}")
-    window = tuple(range(q - i, q + i))
-    out = []
-    for mu in combinations(window, i):
-        taken = set(mu)
-        nu = tuple(v for v in window if v not in taken)
-        out.append(ShufflePair(mu, nu))
-    return out
+    return [ShufflePair(mu, nu) for mu, nu in shuffles(tuple(range(q - i, q + i)), i)]
 
 
 def anchored_shuffle_pairs(q: int, i: int) -> list[ShufflePair]:
@@ -68,18 +61,25 @@ def anchored_shuffle_pairs(q: int, i: int) -> list[ShufflePair]:
     return [p for p in shuffle_pairs(q, i) if p.mu[0] == q - i]
 
 
-def degeneracy_word(indices: tuple[int, ...]) -> Word:
-    """s_{a_k} ... s_{a_1} for an increasing index block (a_1, ..., a_k)."""
-    return Word(tuple((DEGENERACY, v) for v in reversed(indices)))
-
-
 def _require_cycle(model: AlgebraModel, z: F2Element):
-    for r in range(z.degree + 1):
-        if model.apply_generator((FACE, r), z):
-            raise NotNormalizedCycleError(
-                f"face d{r} of the input is nonzero; "
-                "the closed formula needs all faces to vanish"
-            )
+    r = nonzero_face(model, z)
+    if r is not None:
+        raise NotNormalizedCycleError(
+            f"face d{r} of the input is nonzero; "
+            "the closed formula needs all faces to vanish"
+        )
+
+
+def _product_sum(
+    model: AlgebraModel, z: F2Element, pairs: list[ShufflePair], i: int
+) -> F2Element:
+    """Sum of s_nu(z) * s_mu(z) over the pairs, whose blocks have size i."""
+    acc = model.zero(z.degree + i)
+    for pair in pairs:
+        a = model.apply_word(degeneracy_word(pair.nu), z)
+        b = model.apply_word(degeneracy_word(pair.mu), z)
+        acc += model.multiply(a, b)
+    return acc
 
 
 def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
@@ -100,12 +100,7 @@ def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
             NotACycleWarning,
             stacklevel=2,
         )
-    acc = model.zero(q + i)
-    for pair in anchored_shuffle_pairs(q, i):
-        a = model.apply_word(degeneracy_word(pair.nu), z)
-        b = model.apply_word(degeneracy_word(pair.mu), z)
-        acc += model.multiply(a, b)
-    return acc
+    return _product_sum(model, z, anchored_shuffle_pairs(q, i), i)
 
 
 def _multiply_pairs(model: AlgebraModel, pairs_element) -> F2Element:
@@ -154,12 +149,7 @@ def shuffle_square(model: AlgebraModel, z: F2Element) -> F2Element:
     q = z.degree
     if q < 1:
         raise BadRangeError("need degree >= 1")
-    acc = model.zero(2 * q)
-    for pair in shuffle_pairs(q, q):
-        a = model.apply_word(degeneracy_word(pair.nu), z)
-        b = model.apply_word(degeneracy_word(pair.mu), z)
-        acc += model.multiply(a, b)
-    return acc
+    return _product_sum(model, z, shuffle_pairs(q, q), q)
 
 
 def delta_report(

@@ -358,11 +358,26 @@ _FIXED = {
 }
 
 
-def relation_names(max_k: int = 4) -> list[str]:
-    names = list(_FIXED)
-    names += [f"dwyer-{k}" for k in range(max_k + 1)]
-    names += [f"recursion-{k}" for k in range(1, max_k + 1)]
-    return names
+# Relation families: name -> the relation names it runs for a given max_k.
+FAMILIES = {
+    "simp": lambda max_k: [
+        "simp0", "simp1", "simp2", "simp3", "simp4", "simp5", "d0-word"
+    ],
+    "dwyer": lambda max_k: [f"dwyer-{k}" for k in range(max_k + 1)],
+    "lemma3": lambda max_k: [f"recursion-{k}" for k in range(1, max_k + 1)],
+    "chainmap": lambda max_k: ["D-chain-map", "D-chain-map-numeric"],
+    "all": lambda max_k: [
+        name
+        for family in ("simp", "chainmap", "dwyer", "lemma3")
+        for name in FAMILIES[family](max_k)
+    ],
+}
+
+
+def relation_names(max_k: int = 4, family: str = "all") -> list[str]:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown relation family {family!r}")
+    return FAMILIES[family](max_k)
 
 
 def check_relation(name: str, max_total: int = 8) -> RelationResult:

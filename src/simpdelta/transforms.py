@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .words import DEGENERACY, IDENTITY, NormalForm, Word, face, normalize
+from .words import (
+    DEGENERACY,
+    IDENTITY,
+    NormalForm,
+    Word,
+    degeneracy_word,
+    face,
+    normalize,
+)
 
 
 class IndexMismatchError(Exception):
@@ -81,10 +89,9 @@ class EMTransform:
     leaves it to the caller).
     """
 
-    def __init__(self, index_fn: IndexFunction, rule, primitive: bool = False):
+    def __init__(self, index_fn: IndexFunction, rule):
         self.index_fn = index_fn
         self._rule = rule
-        self.primitive = primitive
         self._terms: dict[tuple[int, int], frozenset[TensorWord]] = {}
         self._reduced: dict[tuple[int, int], frozenset] = {}
 
@@ -116,9 +123,6 @@ class EMTransform:
                         acc ^= {(nl, nr)}
             self._reduced[key] = frozenset(acc)
         return self._reduced[key]
-
-    def is_zero_at(self, i: int, j: int) -> bool:
-        return not self.reduced(i, j)
 
     def __add__(self, other: "EMTransform") -> "EMTransform":
         if self.index_fn != other.index_fn:
@@ -254,7 +258,18 @@ def diagonal_identity(k: int) -> EMTransform:
     def rule(i, j):
         return pair if (i, j) == (k, k) else frozenset()
 
-    return EMTransform(_affine(1, 1, -k, 1, 1, -k), rule, primitive=True)
+    return EMTransform(_affine(1, 1, -k, 1, 1, -k), rule)
+
+
+def shuffles(window: tuple[int, ...], size: int):
+    """The splittings of ``window`` into increasing blocks (mu, nu).
+
+    mu takes ``size`` of the indices and nu the rest; the pairs come in
+    lexicographic order of mu.
+    """
+    for mu in combinations(window, size):
+        taken = set(mu)
+        yield mu, tuple(v for v in window if v not in taken)
 
 
 def shuffle_map() -> EMTransform:
@@ -266,15 +281,10 @@ def shuffle_map() -> EMTransform:
     """
 
     def rule(i, j):
-        window = tuple(range(i + j))
-        terms = set()
-        for mu in combinations(window, i):
-            taken = set(mu)
-            nu = tuple(v for v in window if v not in taken)
-            left = Word(tuple((DEGENERACY, v) for v in reversed(nu)))
-            right = Word(tuple((DEGENERACY, v) for v in reversed(mu)))
-            terms.add((left, right))
-        return terms
+        return {
+            (degeneracy_word(nu), degeneracy_word(mu))
+            for mu, nu in shuffles(tuple(range(i + j)), i)
+        }
 
     return EMTransform(_affine(1, 1, 0, 1, 1, 0), rule)
 

@@ -85,6 +85,11 @@ def degeneracy(index: int) -> Word:
     return Word(((DEGENERACY, index),))
 
 
+def degeneracy_word(indices: tuple[int, ...]) -> Word:
+    """s_{a_k} ... s_{a_1} for an increasing index block (a_1, ..., a_k)."""
+    return Word(tuple((DEGENERACY, v) for v in reversed(indices)))
+
+
 def parse_word(text: str) -> Word:
     """Parse the plain-text syntax, e.g. ``"s3 s1 d0"`` or ``"id"``."""
     text = text.strip()

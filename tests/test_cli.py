@@ -55,25 +55,19 @@ def test_verify_unknown_family(capsys):
     assert code == 2
 
 
-def test_verify_is_deterministic_across_threads(capsys, monkeypatch):
-    args = ("verify", "all", "--max-total", "4", "--max-k", "2",
-            "--format", "json")
-    code1, out1, _ = run(capsys, *args)
-    monkeypatch.setenv("SIMPDELTA_THREADS", "3")
-    code2, out2, _ = run(capsys, *args, "--threads", "8")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SIMPDELTA_THREADS", "abc")
-    code, _, err = run(capsys, "verify", "simp", "--max-total", "4")
+@pytest.mark.parametrize("argv", [
+    ("verify", "simp", "--threads", "2"),
+    ("verify", "simp", "--seed", "1"),
+    ("delta", "--q", "2", "--i", "2", "--threads", "2"),
+    ("homology", "--n", "2", "--max-degree", "3", "--seed", "1"),
+    ("homology", "--n", "2", "--max-degree", "3", "--threads", "2"),
+], ids=["verify-threads", "verify-seed", "delta-threads", "homology-seed",
+        "homology-threads"])
+def test_removed_options_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "SIMPDELTA_THREADS" in err
-    monkeypatch.delenv("SIMPDELTA_THREADS")
-    code, _, err = run(capsys, "verify", "simp", "--max-total", "4",
-                       "--threads", "0")
-    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_delta_golden(capsys):

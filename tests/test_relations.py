@@ -7,6 +7,7 @@ shows up as a failure, not as a quietly weaker check.
 import pytest
 
 from simpdelta.relations import (
+    FAMILIES,
     RelationResult,
     UnknownRelationError,
     check_relation,
@@ -37,6 +38,26 @@ def test_relation_names():
     assert "recursion-1" in names and "recursion-2" in names
     assert "dwyer-3" not in names
     assert "D-chain-map-numeric" in names
+
+
+def test_relation_families():
+    simp = ["simp0", "simp1", "simp2", "simp3", "simp4", "simp5", "d0-word"]
+    chainmap = ["D-chain-map", "D-chain-map-numeric"]
+    dwyer = ["dwyer-0", "dwyer-1", "dwyer-2", "dwyer-3", "dwyer-4"]
+    lemma3 = ["recursion-1", "recursion-2", "recursion-3", "recursion-4"]
+    expected = {
+        "simp": simp,
+        "dwyer": dwyer,
+        "lemma3": lemma3,
+        "chainmap": chainmap,
+        "all": simp + chainmap + dwyer + lemma3,
+    }
+    assert list(FAMILIES) == list(expected)
+    for family, names in expected.items():
+        assert relation_names(4, family) == names
+    assert relation_names(4) == expected["all"]
+    with pytest.raises(ValueError):
+        relation_names(4, "nonsense")
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW6_CASES))
