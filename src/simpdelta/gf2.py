@@ -1,12 +1,33 @@
 """Exact linear algebra over the two-element field.
 
 Vectors are Python ints used as bitmasks (bit c = coordinate c), so row
-operations are single XORs on arbitrarily wide rows.  Elimination always
-scans columns in their given order and picks the highest set bit as the
-pivot, which keeps every derived object reproducible.
+operations are single XORs on arbitrarily wide rows.
+
+Elimination is the standard column reduction with a pivot table (see
+Chen-Kerber, *Persistent homology computation with a twist*, 2011): a
+dict maps each pivot bit to its reduced column.  A column is XORed only
+with the pivot whose bit is its current highest set bit, until that bit
+has no pivot (the column becomes a new pivot) or the column is zero.
+Columns are taken in their given order and the highest set bit is the
+pivot, so the pivot bits, and every canonical object derived from them,
+are reproducible.
 """
 
 from __future__ import annotations
+
+
+def _reduce(v: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Clear top bits of ``v`` against the pivot table, tracking the combination.
+
+    Returns ``(v, combo)`` where ``v`` is zero or has a top bit no pivot owns.
+    """
+    while v:
+        pivot = pivots.get(v.bit_length() - 1)
+        if pivot is None:
+            break
+        v ^= pivot[0]
+        combo ^= pivot[1]
+    return v, combo
 
 
 class F2Matrix:
@@ -19,66 +40,60 @@ class F2Matrix:
     def __init__(self, nrows: int, columns: list[int]):
         self.nrows = nrows
         self.columns = list(columns)
-        self._echelon: list[tuple[int, int, int]] | None = None
+        self._pivots: dict[int, tuple[int, int]] | None = None
 
     @property
     def ncols(self) -> int:
         return len(self.columns)
 
-    def _eliminate(self) -> list[tuple[int, int, int]]:
-        # Returns (pivot_bit, reduced_column, combination) triples; the
-        # combination records which input columns were XORed together.
-        if self._echelon is None:
-            pivots: list[tuple[int, int, int]] = []
+    def _eliminate(self) -> dict[int, tuple[int, int]]:
+        # pivot_bit -> (reduced_column, combination); the combination
+        # records which input columns were XORed together.
+        if self._pivots is None:
+            pivots: dict[int, tuple[int, int]] = {}
             self._kernel: list[int] = []
-            for c, v in enumerate(self.columns):
-                combo = 1 << c
-                for pbit, pval, pcombo in pivots:
-                    if v >> pbit & 1:
-                        v ^= pval
-                        combo ^= pcombo
+            for c, col in enumerate(self.columns):
+                v, combo = _reduce(col, 1 << c, pivots)
                 if v:
-                    pivots.append((v.bit_length() - 1, v, combo))
+                    pivots[v.bit_length() - 1] = (v, combo)
                 else:
                     self._kernel.append(combo)
-            self._echelon = pivots
-        return self._echelon
+            self._pivots = pivots
+        return self._pivots
 
     def rank(self) -> int:
         return len(self._eliminate())
 
     def kernel_basis(self) -> list[int]:
-        """Bitmask vectors over the source coordinates spanning the null space."""
+        """Bitmask vectors over the source coordinates spanning the null space.
+
+        The vectors depend on the elimination order; pass them through
+        `reduced_echelon` for a canonical basis.
+        """
         self._eliminate()
         return list(self._kernel)
 
     def solve(self, target: int) -> int | None:
         """A source vector mapping to ``target``, or None when unsolvable."""
-        v, combo = target, 0
-        for pbit, pval, pcombo in self._eliminate():
-            if v >> pbit & 1:
-                v ^= pval
-                combo ^= pcombo
+        v, combo = _reduce(target, 0, self._eliminate())
         return combo if v == 0 else None
 
     def apply(self, vector: int) -> int:
+        """Image of ``vector``; coordinates at or past ``ncols`` are ignored."""
         out = 0
-        for c, col in enumerate(self.columns):
-            if vector >> c & 1:
-                out ^= col
+        for c in bits(vector & ((1 << self.ncols) - 1)):
+            out ^= self.columns[c]
         return out
 
 
 def reduced_echelon(vectors: list[int]) -> list[int]:
     """Canonical reduced-echelon basis of the span, pivots descending."""
-    basis: list[tuple[int, int]] = []  # (pivot_bit, vector)
+    pivots: dict[int, tuple[int, int]] = {}
     for v in vectors:
-        for pbit, pvec in basis:
-            if v >> pbit & 1:
-                v ^= pvec
+        v, _ = _reduce(v, 0, pivots)
         if v:
-            basis.append((v.bit_length() - 1, v))
-    basis.sort(reverse=True)
+            pivots[v.bit_length() - 1] = (v, 0)
+    basis = sorted(((pbit, vec) for pbit, (vec, _) in pivots.items()), reverse=True)
     # back-substitute so each pivot bit appears in exactly one vector
     for k in range(len(basis)):
         pbit, pvec = basis[k]

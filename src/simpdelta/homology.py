@@ -105,8 +105,20 @@ def _index_map(labels) -> dict:
 
 
 def associated_complex(model: Model, max_degree: int | None = None) -> ChainComplexF2:
-    """Differential = mod-2 sum of all faces, in the model's basis order."""
+    """Differential = mod-2 sum of all faces, in the model's basis order.
+
+    The complex is built once per model and top degree and then shared:
+    repeated calls return the same object, whose eliminated matrices are
+    reused by every later query.  Treat it as read-only.
+    """
     top = model.max_degree if max_degree is None else max_degree
+    memo = vars(model).setdefault("_associated", {})
+    if top not in memo:
+        memo[top] = _build_associated(model, top)
+    return memo[top]
+
+
+def _build_associated(model: Model, top: int) -> ChainComplexF2:
     labels = [list(model.basis(q)) for q in range(top + 1)]
     diff: list[list[int]] = [[]]
     for q in range(1, top + 1):

@@ -12,6 +12,8 @@ def test_small_matrix():
     assert m.rank() == 2
     assert m.apply(0b01) == 0b11
     assert m.apply(0b11) == 0b01
+    # coordinates past ncols are ignored
+    assert m.apply(0b101) == 0b11
     assert m.kernel_basis() == []
     assert m.solve(0b11) == 0b01
     assert m.solve(0b01) is not None
@@ -87,3 +89,105 @@ def test_echelon_spans(columns):
     for col in columns:
         assert coordinates(col, basis) is not None
     assert len(basis) == F2Matrix(10, columns).rank()
+
+
+# -- differential test against the scan-every-pivot elimination -------------
+#
+# The reference below reduces each column against every earlier pivot in
+# turn, testing one bit per pivot.  It is slow but obviously correct, and it
+# is what `gf2` did before the pivot table.
+
+
+def _scan_eliminate(columns):
+    """(pivots, kernel) with pivots as (pivot_bit, reduced_column, combination)."""
+    pivots, kernel = [], []
+    for c, v in enumerate(columns):
+        combo = 1 << c
+        for pbit, pval, pcombo in pivots:
+            if v >> pbit & 1:
+                v ^= pval
+                combo ^= pcombo
+        if v:
+            pivots.append((v.bit_length() - 1, v, combo))
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
+def _scan_solve(pivots, target):
+    v, combo = target, 0
+    for pbit, pval, pcombo in pivots:
+        if v >> pbit & 1:
+            v ^= pval
+            combo ^= pcombo
+    return combo if v == 0 else None
+
+
+def _scan_reduced_echelon(vectors):
+    basis = []
+    for v in vectors:
+        for pbit, pvec in basis:
+            if v >> pbit & 1:
+                v ^= pvec
+        if v:
+            basis.append((v.bit_length() - 1, v))
+    basis.sort(reverse=True)
+    for k in range(len(basis)):
+        pbit, pvec = basis[k]
+        for j in range(k):
+            if basis[j][1] >> pbit & 1:
+                basis[j] = (basis[j][0], basis[j][1] ^ pvec)
+    return [vec for _, vec in basis]
+
+
+@st.composite
+def wide_matrices(draw):
+    """Matrices over more than 64 rows with dependent, duplicate and zero columns.
+
+    Each column is the XOR of a subset of a few generators, so the rank is
+    low and columns reduce through long chains; a zero column and a copy
+    of an earlier column are inserted at drawn positions.
+    """
+    nrows = draw(st.integers(65, 160))
+    gens = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 2**nrows - 1),
+                st.integers(0, nrows - 1).map(lambda b: 1 << b),
+                st.integers(1, 2**8 - 1),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    masks = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), min_size=1, max_size=24))
+    columns = []
+    for mask in masks:
+        v = 0
+        for k in bits(mask):
+            v ^= gens[k]
+        columns.append(v)
+    columns.insert(draw(st.integers(0, len(columns))), 0)
+    copy = columns[draw(st.integers(0, len(columns) - 1))]
+    columns.insert(draw(st.integers(0, len(columns))), copy)
+    return nrows, columns
+
+
+@given(wide_matrices(), st.lists(st.integers(0, 2**160 - 1), max_size=4))
+def test_elimination_matches_scan_oracle(matrix, xs):
+    nrows, columns = matrix
+    m = F2Matrix(nrows, columns)
+    pivots, kernel = _scan_eliminate(columns)
+    assert m.rank() == len(pivots)
+    assert reduced_echelon(m.kernel_basis()) == _scan_reduced_echelon(kernel)
+    for v in m.kernel_basis():
+        assert m.apply(v) == 0
+    # targets inside the image, and arbitrary ones that mostly are not
+    full = (1 << len(columns)) - 1
+    targets = [m.apply(x & full) for x in xs] + [x & ((1 << nrows) - 1) for x in xs]
+    for target in targets:
+        sol = m.solve(target)
+        assert (sol is None) == (_scan_solve(pivots, target) is None)
+        if sol is not None:
+            assert m.apply(sol) == target
+    assert reduced_echelon(columns) == _scan_reduced_echelon(columns)

@@ -7,6 +7,7 @@ on top, and the normalized complex must agree with the associated one.
 
 import pytest
 
+from simpdelta import homology
 from simpdelta.homology import (
     NotACycleError,
     associated_complex,
@@ -154,3 +155,32 @@ def test_element_vector_roundtrip():
     # d then d is zero on every basis vector
     for k in range(cc.dim(2)):
         assert cc.boundary_vector(1, cc.boundary_vector(2, 1 << k)) == 0
+
+
+def test_associated_complex_is_shared_per_model():
+    dm = delta_model(1, 3)
+    cc = associated_complex(dm, 2)
+    assert associated_complex(dm, 2) is cc
+    assert associated_complex(dm) is associated_complex(dm, dm.max_degree)
+    assert [associated_complex(dm, t).top for t in range(4)] == [0, 1, 2, 3]
+    assert associated_complex(dm, 3) is not cc
+    # an equal but distinct model builds its own complex
+    other = delta_model(1, 3)
+    assert associated_complex(other, 2) is not cc
+    assert associated_complex(other, 2).labels == cc.labels
+
+
+@pytest.mark.parametrize(
+    "model", [delta_model(1, 3), algebra_model(2, 5, 2)], ids=lambda m: m.name
+)
+def test_shared_complex_verdicts_match_fresh_build(model):
+    for q in range(model.max_degree):
+        cycles = cycle_subspace(model, q) + [model.zero(q)]
+        shared = associated_complex(model, q + 1)
+        fresh = homology._build_associated(model, q + 1)
+        assert fresh is not shared
+        for z1 in cycles:
+            for z2 in cycles:
+                v1 = element_vector(model, fresh.labels[q], z1)
+                v2 = element_vector(model, fresh.labels[q], z2)
+                assert same_class(model, z1, z2) == fresh.same_class(q, v1, v2)
