@@ -2,7 +2,7 @@
 
 Every run is deterministic: identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
-configuration.
+configuration or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -47,9 +47,12 @@ class _ConfigError(Exception):
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _json_text(obj) -> str:

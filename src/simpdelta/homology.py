@@ -1,10 +1,14 @@
 """Chain complexes over F2 attached to the finite models.
 
-Two complexes per model: the associated complex (differential = sum of
-all faces) and the normalized one (degree q part = intersection of the
-kernels of d_1 ... d_q, differential d_0).  They compute the same
-homology, which the tests and the CLI verify degreewise.  All linear
-algebra is exact bit-packed elimination from `gf2`.
+A complex is held as its differential alone: per degree, one bitmask
+per basis vector.  Two complexes per model: the associated complex
+(basis = the model basis, differential = sum of all faces) and the
+normalized one, the subcomplex whose degree q part is the intersection
+of the kernels of d_1 ... d_q.  On that subcomplex the associated
+differential is d_0, so the normalized differential is read off the
+associated complex.  They compute the same homology, which the tests and
+the CLI verify degreewise.  All linear algebra is exact bit-packed
+elimination from `gf2`.
 """
 
 from __future__ import annotations
@@ -21,24 +25,24 @@ class NotACycleError(Exception):
 
 @dataclass
 class ChainComplexF2:
-    """Nonnegatively graded complex, degrees 0..top.
+    """Nonnegatively graded complex, degrees 0..top, held as its differential.
 
     ``diff[q]`` lists, per degree-q basis vector, its boundary as a
-    bitmask over the degree-(q-1) basis.  Homology is defined for
-    q <= top - 1 (the differential into degree top is unknown beyond the
-    truncation).
+    bitmask over the degree-(q-1) basis; ``diff[0]`` holds one 0 per
+    degree-0 basis vector, so ``len(diff[q])`` is the dimension.
+    Homology is defined for q <= top - 1 (the differential into degree
+    top is unknown beyond the truncation).
     """
 
-    labels: list[list[str]]
     diff: list[list[int]]
     _solvers: dict[int, F2Matrix] = field(default_factory=dict, repr=False)
 
     @property
     def top(self) -> int:
-        return len(self.labels) - 1
+        return len(self.diff) - 1
 
     def dim(self, q: int) -> int:
-        return len(self.labels[q]) if 0 <= q <= self.top else 0
+        return len(self.diff[q]) if 0 <= q <= self.top else 0
 
     def _matrix(self, q: int) -> F2Matrix:
         if q not in self._solvers:
@@ -93,16 +97,6 @@ class ChainComplexF2:
             for q in range(self.top)
         ]
 
-    def betti_csv(self) -> str:
-        lines = ["degree,dim,rank_d,betti"]
-        for row in self.betti_rows():
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def _index_map(labels) -> dict:
-    return {lbl: c for c, lbl in enumerate(labels)}
-
 
 def associated_complex(model: Model, max_degree: int | None = None) -> ChainComplexF2:
     """Differential = mod-2 sum of all faces, in the model's basis order.
@@ -111,7 +105,14 @@ def associated_complex(model: Model, max_degree: int | None = None) -> ChainComp
     repeated calls return the same object, whose eliminated matrices are
     reused by every later query.  Treat it as read-only.
     """
-    top = model.max_degree if max_degree is None else max_degree
+    return _shared_associated(
+        model, model.max_degree if max_degree is None else max_degree
+    )
+
+
+def _shared_associated(model: Model, top: int) -> ChainComplexF2:
+    """The memo behind `associated_complex`; `normalized_complex` reads it
+    here, so a traced `associated_complex` counts only outside calls."""
     memo = vars(model).setdefault("_associated", {})
     if top not in memo:
         memo[top] = _build_associated(model, top)
@@ -119,64 +120,56 @@ def associated_complex(model: Model, max_degree: int | None = None) -> ChainComp
 
 
 def _build_associated(model: Model, top: int) -> ChainComplexF2:
-    labels = [list(model.basis(q)) for q in range(top + 1)]
-    diff: list[list[int]] = [[]]
+    diff = [[0] * len(model.basis(0))]
     for q in range(1, top + 1):
-        index = _index_map(labels[q - 1])
-        cols = []
-        for lbl in labels[q]:
-            v = 0
-            for r in range(q + 1):
-                img = model.face_label(r, lbl, q)
-                if img is not None:
-                    v ^= 1 << index[img]
-            cols.append(v)
-        diff.append(cols)
-    pretty = [[model.label_str(lbl) for lbl in row] for row in labels]
-    return ChainComplexF2(pretty, diff)
+        diff.append(_face_columns(model, q, model.basis(q), 0, 0))
+    return ChainComplexF2(diff)
+
+
+def _face_columns(
+    model: Model, q: int, labels, first_face: int, stride: int
+) -> list[int]:
+    """Faces d_first_face .. d_q of each label, one bitmask per label.
+
+    Face d_r is placed over the degree-(q-1) basis shifted by
+    ``(r - first_face) * stride`` bits: stride 0 sums the faces mod 2
+    (the associated differential), stride dim(q-1) stacks them (the
+    columns of a face-kernel matrix).
+    """
+    index = {lbl: c for c, lbl in enumerate(model.basis(q - 1))}
+    cols = []
+    for lbl in labels:
+        v = 0
+        for r in range(first_face, q + 1):
+            img = model.face_label(r, lbl, q)
+            if img is not None:
+                v ^= 1 << (index[img] + (r - first_face) * stride)
+        cols.append(v)
+    return cols
 
 
 def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComplexF2:
     """Degree q = intersection of ker d_1 .. ker d_q, differential d_0.
 
-    Basis vectors are canonical reduced-echelon representatives over the
-    model basis; their labels are rendered as formal sums.
+    Basis vectors are canonical reduced-echelon bitmasks over the model
+    basis.  Every face but d_0 vanishes on them, so d_0 is the shared
+    associated differential, expressed in the degree-(q-1) basis.
     """
     top = model.max_degree if max_degree is None else max_degree
-    model_labels = [list(model.basis(q)) for q in range(top + 1)]
-    nbases = [_face_kernel(model, q, model_labels[q], 1) for q in range(top + 1)]
-
-    def d0(q: int, vec: int) -> int:
-        index = _index_map(model_labels[q - 1])
-        out = 0
-        for c in bits(vec):
-            img = model.face_label(0, model_labels[q][c], q)
-            if img is not None:
-                out ^= 1 << index[img]
-        return out
-
-    labels: list[list[str]] = []
-    diff: list[list[int]] = [[]]
-    for q in range(top + 1):
-        labels.append(
-            [
-                " + ".join(
-                    model.label_str(model_labels[q][c]) for c in bits(vec)
+    assoc = _shared_associated(model, top)
+    nbases = [_face_kernel(model, q, model.basis(q), 1) for q in range(top + 1)]
+    diff = [[0] * len(nbases[0])]
+    for q in range(1, top + 1):
+        cols = []
+        for vec in nbases[q]:
+            coords = coordinates(assoc.boundary_vector(q, vec), nbases[q - 1])
+            if coords is None:
+                raise AssertionError(
+                    "d_0 left the normalized subspace; the model actions are broken"
                 )
-                for vec in nbases[q]
-            ]
-        )
-        if q >= 1:
-            cols = []
-            for vec in nbases[q]:
-                coords = coordinates(d0(q, vec), nbases[q - 1])
-                if coords is None:
-                    raise AssertionError(
-                        "d_0 left the normalized subspace; the model actions are broken"
-                    )
-                cols.append(coords)
-            diff.append(cols)
-    return ChainComplexF2(labels, diff)
+            cols.append(coords)
+        diff.append(cols)
+    return ChainComplexF2(diff)
 
 
 def _face_kernel(model: Model, q: int, labels, first_face: int) -> list[int]:
@@ -188,17 +181,9 @@ def _face_kernel(model: Model, q: int, labels, first_face: int) -> list[int]:
     """
     if q == 0:
         return [1 << c for c in range(len(labels))]
-    lower = model.basis(q - 1)
-    index = _index_map(lower)
-    cols = []
-    for lbl in labels:
-        stacked = 0
-        for r in range(first_face, q + 1):
-            img = model.face_label(r, lbl, q)
-            if img is not None:
-                stacked ^= 1 << (index[img] + (r - first_face) * len(lower))
-        cols.append(stacked)
-    rows = len(lower) * (q + 1 - first_face)
+    stride = len(model.basis(q - 1))
+    cols = _face_columns(model, q, labels, first_face, stride)
+    rows = stride * (q + 1 - first_face)
     return reduced_echelon(F2Matrix(rows, cols).kernel_basis())
 
 
@@ -222,12 +207,15 @@ def cycle_subspace(model: Model, q: int, labels=None) -> list[F2Element]:
     return _elements(q, labels, _face_kernel(model, q, labels, 0))
 
 
-def element_vector(model: Model, complex_labels: list[str], x: F2Element) -> int:
-    """Coordinates of a model element in an associated-complex basis."""
-    index = {lbl: c for c, lbl in enumerate(complex_labels)}
+def element_vector(model: Model, x: F2Element) -> int:
+    """Coordinates of a model element over ``model.basis(x.degree)``.
+
+    That is the basis of the associated complex in degree ``x.degree``.
+    """
+    index = {lbl: c for c, lbl in enumerate(model.basis(x.degree))}
     v = 0
     for lbl in x.support:
-        v ^= 1 << index[model.label_str(lbl)]
+        v ^= 1 << index[lbl]
     return v
 
 
@@ -257,6 +245,4 @@ def same_class(model: Model, z1: F2Element, z2: F2Element) -> bool:
         raise NotACycleError("cycles live in different degrees")
     q = z1.degree
     chain = associated_complex(model, min(model.max_degree, q + 1))
-    v1 = element_vector(model, chain.labels[q], z1)
-    v2 = element_vector(model, chain.labels[q], z2)
-    return chain.same_class(q, v1, v2)
+    return chain.same_class(q, element_vector(model, z1), element_vector(model, z2))

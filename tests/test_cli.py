@@ -155,5 +155,20 @@ def test_output_file(capsys, tmp_path):
     assert target.read_text() == (GOLDEN / "delta_q2_i2.json").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "simp", "--max-total", "4"),
+    ("delta", "--q", "2", "--i", "2"),
+    ("homology", "--n", "1", "--max-degree", "2"),
+    ("dump-transform", "--name", "shuffle", "--i", "1", "--j", "1"),
+], ids=["verify", "delta", "homology", "dump-transform"])
+def test_unwritable_output_is_a_config_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {target}" in err
+    assert not target.exists()
+
+
 def test_no_subcommand(capsys):
     assert main([]) == 2
