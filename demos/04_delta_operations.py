@@ -22,6 +22,7 @@ from simpdelta.operations import (
     delta_report,
     delta_via_em,
 )
+from simpdelta.words import face
 
 # The index pairs behind delta_2 on a degree-2 class.
 print("anchored shuffle pairs for q = 2, i = 2:")
@@ -46,8 +47,8 @@ with warnings.catch_warnings(record=True) as caught:
     almost = delta_i(am, z, 1)
 print(f"\ndelta_1 warning: {caught[0].message}")
 for j in range(4):
-    face = am.apply_generator(("d", j), almost)
-    print(f"  d{j} delta_1(z) = {am.element_str(face)}")
+    d_j = am.apply_word(face(j), almost)
+    print(f"  d{j} delta_1(z) = {am.element_str(d_j)}")
 
 # delta_report bundles the value with cycle and homology certificates,
 # ready for serialization; the CLI `delta` subcommand prints this.  A

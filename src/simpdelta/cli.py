@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .homology import associated_complex, normalized_complex
@@ -53,6 +54,12 @@ def _emit(text: str, output: str | None):
             fh.write(text)
     except OSError as exc:
         raise _ConfigError(f"cannot write {output}: {exc.strerror}") from exc
+
+
+def _check_output_dir(output: str | None):
+    """Reject an --output into a missing directory before any work is done."""
+    if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
+        raise _ConfigError(f"cannot write {output}: No such file or directory")
 
 
 def _json_text(obj) -> str:
@@ -336,6 +343,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output_dir(args.output)
         return args.handler(args)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

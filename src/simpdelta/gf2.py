@@ -48,16 +48,14 @@ class F2Matrix:
 
     def _eliminate(self) -> dict[int, tuple[int, int]]:
         # pivot_bit -> (reduced_column, combination); the combination
-        # records which input columns were XORed together.
+        # records which input columns were XORed together, and its top
+        # bit is the column that owns the pivot.
         if self._pivots is None:
             pivots: dict[int, tuple[int, int]] = {}
-            self._kernel: list[int] = []
             for c, col in enumerate(self.columns):
                 v, combo = _reduce(col, 1 << c, pivots)
                 if v:
                     pivots[v.bit_length() - 1] = (v, combo)
-                else:
-                    self._kernel.append(combo)
             self._pivots = pivots
         return self._pivots
 
@@ -67,11 +65,17 @@ class F2Matrix:
     def kernel_basis(self) -> list[int]:
         """Bitmask vectors over the source coordinates spanning the null space.
 
-        The vectors depend on the elimination order; pass them through
-        `reduced_echelon` for a canonical basis.
+        Each column that owns no pivot is reduced again, to zero, against
+        the pivot table.  The vectors depend on the elimination order;
+        pass them through `reduced_echelon` for a canonical basis.
         """
-        self._eliminate()
-        return list(self._kernel)
+        pivots = self._eliminate()
+        owners = {combo.bit_length() - 1 for _, combo in pivots.values()}
+        return [
+            _reduce(col, 1 << c, pivots)[1]
+            for c, col in enumerate(self.columns)
+            if c not in owners
+        ]
 
     def solve(self, target: int) -> int | None:
         """A source vector mapping to ``target``, or None when unsolvable."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
 from .models import F2Element, Model
+from .words import face
 
 
 class NotACycleError(Exception):
@@ -222,7 +223,7 @@ def element_vector(model: Model, x: F2Element) -> int:
 def nonzero_face(model: Model, x: F2Element) -> int | None:
     """Index of the first face of x that does not vanish, or None."""
     for r in range(x.degree + 1):
-        if model.apply_generator(("d", r), x):
+        if model.apply_word(face(r), x):
             return r
     return None
 

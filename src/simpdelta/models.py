@@ -7,6 +7,10 @@ surjective tuples).  The algebra model is the polynomial algebra on the
 sphere's basis in each degree, truncated at a polynomial degree bound;
 its monomials are sorted multisets of sphere labels.
 
+Each model gives the label rules ``face_label`` and ``degen_label``; the
+one action on elements is ``Model.apply_word``, where a single face or
+degeneracy is a one-letter word.
+
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError,
 because silently dropped terms would corrupt cycle checks downstream.
@@ -50,7 +54,7 @@ class F2Element:
 
 
 class Model:
-    """Common machinery: elements, generator actions, word application."""
+    """Common machinery: elements, label rules, the action of words."""
 
     name: str
     n: int
@@ -78,71 +82,51 @@ class Model:
             acc ^= {lbl}
         return F2Element(degree, frozenset(acc))
 
-    def apply_generator(self, generator: tuple[str, int], x: F2Element) -> F2Element:
-        kind, r = generator
-        m = x.degree
-        if m < 0:
-            return self.zero(m + 1 if kind == DEGENERACY else m - 1)
-        if r > m:
-            raise OutOfRangeError(generator, m)
-        acc: set = set()
-        if kind == DEGENERACY:
-            if m + 1 > self.max_degree:
-                raise TruncationOverflowError(
-                    f"s{r} pushes degree {m} past max_degree {self.max_degree}"
-                )
-            for lbl in x.support:
-                acc ^= {self.degen_label(r, lbl, m)}
-            return F2Element(m + 1, frozenset(acc))
-        if m > 0:
-            for lbl in x.support:
-                img = self.face_label(r, lbl, m)
-                if img is not None:
-                    acc ^= {img}
-        return F2Element(m - 1, frozenset(acc))
-
     def apply_word(self, w: Word, x: F2Element) -> F2Element:
-        """Factor-by-factor action; the map into a negative degree is zero.
+        """Act by ``w`` in one pass over its letters, rightmost first.
 
-        Once the running degree dips below zero the composite is the
-        zero map and the remaining letters are absorbed without range
-        checks, the same convention that decides definedness of the
-        word itself.
+        Every letter is checked against the running degree whatever the
+        support (OutOfRangeError, or TruncationOverflowError past
+        ``max_degree``) until that degree dips below zero; from there the
+        composite is the zero map and the remaining letters are absorbed,
+        the convention that decides definedness of the word itself.  The
+        letters are linear, so images are summed mod 2 once, at the end.
         """
-        cur = x
+        m = x.degree
+        labels = list(x.support)
         for generator in reversed(w.factors):
-            if cur.degree < 0:
+            if m < 0:
                 return self.zero(x.degree + w.degree_shift())
-            cur = self.apply_generator(generator, cur)
-        return cur
-
-    def apply_word_label(self, w: Word, label, degree: int):
-        """Single-label action: the image label, or None for zero."""
-        out = self.apply_word(w, self.element([label], degree))
-        if not out.support:
-            return None
-        (img,) = out.support
-        return img
+            kind, r = generator
+            if r > m:
+                raise OutOfRangeError(generator, m)
+            if kind == DEGENERACY:
+                if m + 1 > self.max_degree:
+                    raise TruncationOverflowError(
+                        f"s{r} pushes degree {m} past max_degree {self.max_degree}"
+                    )
+                labels = [self.degen_label(r, lbl, m) for lbl in labels]
+                m += 1
+            elif m == 0:
+                labels = []  # a face out of degree 0 lands in the zero space
+                m = -1
+            else:
+                images = (self.face_label(r, lbl, m) for lbl in labels)
+                labels = [img for img in images if img is not None]
+                m -= 1
+        return self.element(labels, m)
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
         acc = self.zero(x.degree - 1)
         for r in range(x.degree + 1):
-            acc += self.apply_generator(("d", r), x)
+            acc += self.apply_word(face(r), x)
         return acc
 
     def element_str(self, x: F2Element) -> str:
         if not x.support:
             return "0"
         return " + ".join(sorted(self.label_str(lbl) for lbl in x.support))
-
-
-def _face_tuple(i: int, label: tuple) -> tuple:
-    return label[:i] + label[i + 1 :]
-
-
-def _degen_tuple(i: int, label: tuple) -> tuple:
-    return label[: i + 1] + label[i:]
 
 
 class ModuleModel(Model):
@@ -175,8 +159,12 @@ class ModuleModel(Model):
             )
         return self._basis[degree]
 
+    def face_label(self, i: int, label, degree: int):
+        """Drop vertex i: the rule of a closed subcomplex of Delta(n)."""
+        return label[:i] + label[i + 1 :]
+
     def degen_label(self, i: int, label, degree: int):
-        return _degen_tuple(i, label)
+        return label[: i + 1] + label[i:]
 
     def label_str(self, label) -> str:
         return "-".join(str(v) for v in label)
@@ -192,9 +180,6 @@ class DeltaModel(ModuleModel):
     def _member(self, label):
         return True
 
-    def face_label(self, i, label, degree):
-        return _face_tuple(i, label)
-
 
 class BoundaryDeltaModel(ModuleModel):
     """The boundary subcomplex: tuples that miss at least one vertex."""
@@ -205,9 +190,6 @@ class BoundaryDeltaModel(ModuleModel):
 
     def _member(self, label):
         return len(set(label)) < self.n + 1
-
-    def face_label(self, i, label, degree):
-        return _face_tuple(i, label)
 
 
 class SphereModel(ModuleModel):
@@ -226,7 +208,7 @@ class SphereModel(ModuleModel):
         return len(set(label)) == self.n + 1
 
     def face_label(self, i, label, degree):
-        img = _face_tuple(i, label)
+        img = label[:i] + label[i + 1 :]  # the closed rule, then the quotient
         return img if len(set(img)) == self.n + 1 else None
 
     def fundamental_class(self) -> F2Element:
@@ -378,12 +360,14 @@ def evaluate_em(
         for wl, wr in transform.terms(i, j):
             for a, b in element.pairs:
                 if (wl, a) not in lcache:
-                    lcache[(wl, a)] = left_model.apply_word_label(wl, a, i)
+                    out = left_model.apply_word(wl, left_model.element([a], i))
+                    lcache[(wl, a)] = next(iter(out.support), None)
                 la = lcache[(wl, a)]
                 if la is None:
                     continue
                 if (wr, b) not in rcache:
-                    rcache[(wr, b)] = right_model.apply_word_label(wr, b, j)
+                    out = right_model.apply_word(wr, right_model.element([b], j))
+                    rcache[(wr, b)] = next(iter(out.support), None)
                 lb = rcache[(wr, b)]
                 if lb is None:
                     continue

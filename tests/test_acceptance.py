@@ -48,7 +48,7 @@ from simpdelta.transforms import (
     higher_shuffle,
     suspend,
 )
-from simpdelta.words import DEGENERACY, FACE, Word, is_defined, normalize
+from simpdelta.words import DEGENERACY, FACE, Word, face, is_defined, normalize
 
 from test_words import oracle_apply, oracle_defined
 
@@ -206,7 +206,7 @@ def test_criterion_5_delta_outputs_are_normalized_cycles() -> None:
             for z in spanning:
                 out = delta_i(am, z, i)
                 for r in range(q + i + 1):
-                    face_r = am.apply_generator((FACE, r), out)
+                    face_r = am.apply_word(face(r), out)
                     assert not face_r.support, (q, i, r)
                 checked += 1
     record(
@@ -228,7 +228,7 @@ def test_criterion_6_delta_1_face_defect() -> None:
             out = delta_i(am, z, 1)
         square = am.multiply(z, z)
         for j in range(q + 2):
-            face_j = am.apply_generator((FACE, j), out)
+            face_j = am.apply_word(face(j), out)
             if j == q:
                 assert face_j == square, (q, j)
             else:

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from simpdelta import cli
 from simpdelta.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -161,13 +162,21 @@ def test_output_file(capsys, tmp_path):
     ("homology", "--n", "1", "--max-degree", "2"),
     ("dump-transform", "--name", "shuffle", "--i", "1", "--j", "1"),
 ], ids=["verify", "delta", "homology", "dump-transform"])
-def test_unwritable_output_is_a_config_error(capsys, tmp_path, argv):
+def test_unwritable_output_is_a_config_error(capsys, tmp_path, monkeypatch, argv):
+    # a missing directory is rejected before any subcommand does its work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the subcommand ran before --output was checked")
+
+    for name in ("check_relation", "delta_report", "associated_complex",
+                 "dump_bidegree"):
+        monkeypatch.setattr(cli, name, no_work)
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run(capsys, *argv, "--output", str(target))
     assert code == 2
     assert out == ""
-    assert f"error: cannot write {target}" in err
+    assert f"error: cannot write {target}: No such file or directory" in err
     assert not target.exists()
+    assert not target.parent.exists()
 
 
 def test_no_subcommand(capsys):

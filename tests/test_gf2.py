@@ -180,6 +180,7 @@ def test_elimination_matches_scan_oracle(matrix, xs):
     pivots, kernel = _scan_eliminate(columns)
     assert m.rank() == len(pivots)
     assert reduced_echelon(m.kernel_basis()) == _scan_reduced_echelon(kernel)
+    assert len(m.kernel_basis()) == m.ncols - m.rank()
     for v in m.kernel_basis():
         assert m.apply(v) == 0
     # targets inside the image, and arbitrary ones that mostly are not

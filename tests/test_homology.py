@@ -25,6 +25,7 @@ from simpdelta.models import (
     delta_model,
     sphere_model,
 )
+from simpdelta.words import face
 
 MODELS = [
     delta_model(1, 3),
@@ -93,7 +94,7 @@ def test_normalized_subspace():
     assert [dm.element_str(x) for x in sub] == ["0-0 + 0-1"]
     for x in sub:
         for r in range(1, x.degree + 1):
-            assert not dm.apply_generator(("d", r), x)
+            assert not dm.apply_word(face(r), x)
     # degree 0 is all of the module
     assert len(normalized_subspace(dm, 0)) == 2
 

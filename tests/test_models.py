@@ -10,9 +10,11 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpdelta.models import (
     DegreeMismatchError,
+    F2Element,
     OutOfRangeError,
     TruncationOverflowError,
     algebra_model,
@@ -25,7 +27,15 @@ from simpdelta.models import (
     verify_simplicial_identities,
 )
 from simpdelta.transforms import shuffle_map
-from simpdelta.words import is_defined, parse_word
+from simpdelta.words import (
+    DEGENERACY,
+    FACE,
+    Word,
+    degeneracy,
+    face,
+    is_defined,
+    parse_word,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -87,13 +97,13 @@ def test_sphere_is_the_quotient_of_delta():
 def test_generator_action_edges():
     dm = delta_model(1, 2)
     v = dm.element([(0,)], 0)
-    z = dm.apply_generator(("d", 0), v)
+    z = dm.apply_word(face(0), v)
     assert z.degree == -1 and not z
     with pytest.raises(OutOfRangeError):
-        dm.apply_generator(("d", 1), v)
+        dm.apply_word(face(1), v)
     top = dm.element([(0, 0, 1)], 2)
     with pytest.raises(TruncationOverflowError):
-        dm.apply_generator(("s", 0), top)
+        dm.apply_word(degeneracy(0), top)
 
 
 def test_word_action_absorbs_after_annihilation():
@@ -108,6 +118,92 @@ def test_word_action_absorbs_after_annihilation():
     # an out-of-range letter with no annihilation before it still raises
     with pytest.raises(OutOfRangeError):
         dm.apply_word(parse_word("s3 s0"), dm.element([(0, 1)], 1))
+
+
+def _oracle_act_by_letter(model, generator, x):
+    """Generator-by-generator action: one letter, cancelled mod 2 at once."""
+    kind, r = generator
+    m = x.degree
+    if m < 0:
+        return model.zero(m + 1 if kind == DEGENERACY else m - 1)
+    if r > m:
+        raise OutOfRangeError(generator, m)
+    acc: set = set()
+    if kind == DEGENERACY:
+        if m + 1 > model.max_degree:
+            raise TruncationOverflowError(
+                f"s{r} pushes degree {m} past max_degree {model.max_degree}"
+            )
+        for lbl in x.support:
+            acc ^= {model.degen_label(r, lbl, m)}
+        return F2Element(m + 1, frozenset(acc))
+    if m > 0:
+        for lbl in x.support:
+            img = model.face_label(r, lbl, m)
+            if img is not None:
+                acc ^= {img}
+    return F2Element(m - 1, frozenset(acc))
+
+
+def _oracle_act_by_word(model, w, x):
+    cur = x
+    for generator in reversed(w.factors):
+        if cur.degree < 0:
+            return model.zero(x.degree + w.degree_shift())
+        cur = _oracle_act_by_letter(model, generator, cur)
+    return cur
+
+
+def _outcome(act):
+    """The image, or the type of the exception the action raised."""
+    try:
+        return act()
+    except (OutOfRangeError, TruncationOverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("model, word, labels, degree, want", [
+    # d0(0-1) = d0(1-1) = 1, so the two images cancel
+    (delta_model(1, 4), "d0", [(0, 1), (1, 1)], 1, F2Element(0, frozenset())),
+    # the degeneracy is checked even though there is nothing to act on
+    (delta_model(1, 4), "s0", [], 4, TruncationOverflowError),
+    # the faces reach degree -1, so s3 is absorbed unchecked
+    (delta_model(1, 4), "s3 s0 s0 d0 d0", [(0, 1)], 1, F2Element(2, frozenset())),
+    # a face out of degree 0 is zero, even on the algebra's unit
+    (algebra_model(2, 5, 2), "d0", [()], 0, F2Element(-1, frozenset())),
+], ids=["cancel", "empty-overflow", "absorbed", "face-at-degree-0"])
+def test_word_action_pinned_cases(model, word, labels, degree, want):
+    x = model.element(labels, degree)
+    w = parse_word(word)
+    assert _outcome(lambda: model.apply_word(w, x)) == want
+    assert _outcome(lambda: _oracle_act_by_word(model, w, x)) == want
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_word_action_matches_generator_oracle(data):
+    """One pass over the letters equals acting generator by generator."""
+    model = data.draw(st.sampled_from(ALL_MODELS), label="model")
+    q = data.draw(st.integers(-1, model.max_degree), label="degree")
+    basis = model.basis(q)
+    labels = data.draw(
+        st.lists(st.sampled_from(basis), max_size=6, unique=True)
+        if basis
+        else st.just([]),
+        label="labels",
+    )
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from((FACE, DEGENERACY)), st.integers(0, q + 2)),
+            max_size=5,
+        ),
+        label="word",
+    )
+    w = Word(tuple(letters))
+    x = model.element(labels, q)
+    assert _outcome(lambda: model.apply_word(w, x)) == _outcome(
+        lambda: _oracle_act_by_word(model, w, x)
+    )
 
 
 def test_boundary_operator():
@@ -139,15 +235,15 @@ def test_algebra_basis_and_unit():
     assert am.multiply(one, z) == z
     assert am.element_str(am.multiply(z, z)) == "(0-1-2)*(0-1-2)"
     # faces are algebra maps, so they kill any monomial with a dead factor
-    assert not am.apply_generator(("d", 0), am.multiply(z, z))
-    assert am.apply_generator(("d", 0), am.unit(2)) == am.unit(1)
+    assert not am.apply_word(face(0), am.multiply(z, z))
+    assert am.apply_word(face(0), am.unit(2)) == am.unit(1)
 
 
 def test_algebra_product_properties():
     am = algebra_model(2, 6, 4)
     z = am.fundamental_class()
-    s0z = am.apply_generator(("s", 0), z)
-    s1z = am.apply_generator(("s", 1), z)
+    s0z = am.apply_word(degeneracy(0), z)
+    s1z = am.apply_word(degeneracy(1), z)
     a, b, c = s0z, s1z, s0z + s1z
     assert am.multiply(a, b) == am.multiply(b, a)
     assert am.multiply(am.multiply(a, b), c) == am.multiply(a, am.multiply(b, c))

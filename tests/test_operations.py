@@ -21,6 +21,7 @@ from simpdelta.operations import (
     shuffle_pairs,
     shuffle_square,
 )
+from simpdelta.words import degeneracy, face
 
 
 def test_shuffle_pair_validation():
@@ -99,7 +100,7 @@ def test_delta1_remark():
         out = delta_i(am, z, 1)
     zz = am.multiply(z, z)
     for r in range(4):
-        got = am.apply_generator(("d", r), out)
+        got = am.apply_word(face(r), out)
         assert got == (zz if r == 2 else am.zero(2))
 
 
@@ -128,7 +129,7 @@ def test_delta_range_and_cycle_errors():
     for bad_i in (0, 3):
         with pytest.raises(BadRangeError):
             delta_i(am, z, bad_i)
-    s0z = am.apply_generator(("s", 0), z)
+    s0z = am.apply_word(degeneracy(0), z)
     with pytest.raises(NotNormalizedCycleError, match="face d0"):
         delta_i(am, s0z, 2)
 
