@@ -57,8 +57,13 @@ def _emit(text: str, output: str | None):
 
 
 def _check_output_dir(output: str | None):
-    """Reject an --output into a missing directory before any work is done."""
-    if output is not None and not os.path.isdir(os.path.dirname(output) or "."):
+    """Reject an --output that is a directory, or lies in a missing one,
+    before any work is done."""
+    if output is None:
+        return
+    if os.path.isdir(output):
+        raise _ConfigError(f"cannot write {output}: Is a directory")
+    if not os.path.isdir(os.path.dirname(output) or "."):
         raise _ConfigError(f"cannot write {output}: No such file or directory")
 
 

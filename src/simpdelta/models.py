@@ -9,7 +9,13 @@ its monomials are sorted multisets of sphere labels.
 
 Each model gives the label rules ``face_label`` and ``degen_label``; the
 one action on elements is ``Model.apply_word``, where a single face or
-degeneracy is a one-letter word.
+degeneracy is a one-letter word.  ``apply_word`` compiles each (word,
+source degree) once per model: the letter-by-letter range and truncation
+checks are replayed unchanged, and what survives them is the zero map or
+an order-preserving map of vertex positions, applied to each label by the
+model's ``theta_label``.  ``face_label`` and ``degen_label`` remain the
+definition; the associated complex and ``dump_model`` read them, and the
+tests check ``apply_word`` against them.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError,
@@ -19,6 +25,7 @@ because silently dropped terms would corrupt cycle checks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .words import Word, OutOfRangeError, DEGENERACY, degeneracy, face
@@ -77,44 +84,81 @@ class Model:
         return F2Element(degree, frozenset())
 
     def element(self, labels, degree: int) -> F2Element:
-        acc: set = set()
-        for lbl in labels:
-            acc ^= {lbl}
-        return F2Element(degree, frozenset(acc))
+        """The mod-2 sum of a sequence of labels in one degree."""
+        support = frozenset(labels)
+        if len(support) != len(labels):  # repeated labels cancel in pairs
+            acc: set = set()
+            for lbl in labels:
+                acc ^= {lbl}
+            support = frozenset(acc)
+        return F2Element(degree, support)
+
+    def theta_label(self, theta: tuple, label):
+        """Image label under the compiled map ``theta``, or None for zero.
+
+        ``theta`` lists, for each target vertex, the source position it
+        comes from; it is the composite of the letters' ``face_label`` and
+        ``degen_label`` rules, which stay the definition.
+        """
+        raise NotImplementedError
 
     def apply_word(self, w: Word, x: F2Element) -> F2Element:
-        """Act by ``w`` in one pass over its letters, rightmost first.
+        """Act by ``w``: its compiled plan at ``x.degree``, then one rule per label.
+
+        The plan is made once per (word, source degree) and kept on the
+        model; see ``_compile`` for the checks it replays.  The letters are
+        linear, so images are summed mod 2 once, at the end.
+        """
+        key = (w.factors, x.degree)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._compile(w, x.degree)
+        target, theta, error = plan
+        if error is not None:
+            raise error()
+        if theta is None:
+            return self.zero(target)
+        images = []
+        for lbl in x.support:
+            img = self.theta_label(theta, lbl)
+            if img is not None:
+                images.append(img)
+        return self.element(images, target)
+
+    def _compile(self, w: Word, m: int) -> tuple:
+        """Walk the letters once, rightmost first: (target, theta, error).
 
         Every letter is checked against the running degree whatever the
         support (OutOfRangeError, or TruncationOverflowError past
-        ``max_degree``) until that degree dips below zero; from there the
-        composite is the zero map and the remaining letters are absorbed,
-        the convention that decides definedness of the word itself.  The
-        letters are linear, so images are summed mod 2 once, at the end.
+        ``max_degree``); the first failing letter gives ``error``, a
+        factory for the exception to raise.  A face out of degree 0 lands
+        in the zero space and the remaining letters are absorbed, the
+        convention that decides definedness of the word itself; then
+        ``theta`` is None, the zero map.  Otherwise ``theta`` is the
+        order-preserving map of source positions the word induces.
         """
-        m = x.degree
-        labels = list(x.support)
+        target = w.target_degree(m)
+        theta = tuple(range(m + 1))
         for generator in reversed(w.factors):
             if m < 0:
-                return self.zero(x.degree + w.degree_shift())
+                return target, None, None
             kind, r = generator
             if r > m:
-                raise OutOfRangeError(generator, m)
+                return target, None, partial(OutOfRangeError, generator, m)
             if kind == DEGENERACY:
                 if m + 1 > self.max_degree:
-                    raise TruncationOverflowError(
-                        f"s{r} pushes degree {m} past max_degree {self.max_degree}"
+                    return target, None, partial(
+                        TruncationOverflowError,
+                        f"s{r} pushes degree {m} past max_degree {self.max_degree}",
                     )
-                labels = [self.degen_label(r, lbl, m) for lbl in labels]
+                theta = theta[: r + 1] + theta[r:]
                 m += 1
             elif m == 0:
-                labels = []  # a face out of degree 0 lands in the zero space
-                m = -1
+                return target, None, None
             else:
-                images = (self.face_label(r, lbl, m) for lbl in labels)
-                labels = [img for img in images if img is not None]
+                theta = theta[:r] + theta[r + 1 :]
                 m -= 1
-        return self.element(labels, m)
+        return target, theta, None
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
@@ -138,6 +182,7 @@ class ModuleModel(Model):
         self.n = n
         self.max_degree = max_degree
         self._basis: dict[int, tuple] = {}
+        self._plans: dict = {}
 
     def _member(self, label: tuple) -> bool:
         raise NotImplementedError
@@ -165,6 +210,9 @@ class ModuleModel(Model):
 
     def degen_label(self, i: int, label, degree: int):
         return label[: i + 1] + label[i:]
+
+    def theta_label(self, theta, label):
+        return tuple([label[p] for p in theta])
 
     def label_str(self, label) -> str:
         return "-".join(str(v) for v in label)
@@ -211,6 +259,12 @@ class SphereModel(ModuleModel):
         img = label[:i] + label[i + 1 :]  # the closed rule, then the quotient
         return img if len(set(img)) == self.n + 1 else None
 
+    def theta_label(self, theta, label):
+        # faces only shrink a tuple's vertex set and degeneracies keep it,
+        # so a composite is nonzero exactly when its image is surjective
+        img = tuple([label[p] for p in theta])
+        return img if len(set(img)) == self.n + 1 else None
+
     def fundamental_class(self) -> F2Element:
         return self.element([tuple(range(self.n + 1))], self.n)
 
@@ -245,6 +299,7 @@ class AlgebraModel(Model):
         tag = ", quotient" if quotient else ""
         self.name = f"SphereAlgebra({n}, P={poly_bound}{tag})"
         self._basis: dict[int, tuple] = {}
+        self._plans: dict = {}
 
     def basis(self, degree: int) -> tuple:
         if degree < 0:
@@ -268,6 +323,15 @@ class AlgebraModel(Model):
 
     def degen_label(self, i, mono, degree):
         return tuple(sorted(self.underlying.degen_label(i, f, degree) for f in mono))
+
+    def theta_label(self, theta, mono):
+        out = []
+        for f in mono:
+            img = self.underlying.theta_label(theta, f)
+            if img is None:
+                return None
+            out.append(img)
+        return tuple(sorted(out))
 
     def label_str(self, mono) -> str:
         if not mono:
@@ -344,31 +408,46 @@ def tensor(x: F2Element, y: F2Element) -> TensorElement:
     )
 
 
+_MISSING = object()
+
+
 def evaluate_em(
     transform, element: TensorElement, left_model: Model, right_model: Model
 ) -> TensorElement:
     """Apply a bidegree family to a tensor element, term by term.
 
     Terms whose target bidegree has a negative component contribute zero.
+    Each word's image of each label is computed once per call, in the
+    order the terms and pairs first ask for it.
     """
     i, j = element.left_degree, element.right_degree
     k, l = transform.target(i, j)
     acc: set = set()
     if k >= 0 and l >= 0 and element.pairs:
-        lcache: dict = {}
+        pairs = [
+            (a, b, left_model.element([a], i), right_model.element([b], j))
+            for a, b in element.pairs
+        ]
+        lcache: dict = {}  # word -> {label: image label, or None for zero}
         rcache: dict = {}
         for wl, wr in transform.terms(i, j):
-            for a, b in element.pairs:
-                if (wl, a) not in lcache:
-                    out = left_model.apply_word(wl, left_model.element([a], i))
-                    lcache[(wl, a)] = next(iter(out.support), None)
-                la = lcache[(wl, a)]
+            limages = lcache.get(wl)
+            if limages is None:
+                limages = lcache[wl] = {}
+            rimages = rcache.get(wr)
+            if rimages is None:
+                rimages = rcache[wr] = {}
+            for a, b, xa, xb in pairs:
+                la = limages.get(a, _MISSING)
+                if la is _MISSING:
+                    out = left_model.apply_word(wl, xa)
+                    la = limages[a] = next(iter(out.support), None)
                 if la is None:
                     continue
-                if (wr, b) not in rcache:
-                    out = right_model.apply_word(wr, right_model.element([b], j))
-                    rcache[(wr, b)] = next(iter(out.support), None)
-                lb = rcache[(wr, b)]
+                lb = rimages.get(b, _MISSING)
+                if lb is _MISSING:
+                    out = right_model.apply_word(wr, xb)
+                    lb = rimages[b] = next(iter(out.support), None)
                 if lb is None:
                     continue
                 acc ^= {(la, lb)}
@@ -388,38 +467,39 @@ def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list
     bad: list[str] = []
 
     for m in range(top + 1):
+        # (name, lhs word, rhs word or None where the rhs is x itself)
+        checks: list = []
+        for j in range(m + 1):
+            # d_i d_j = d_{j-1} d_i  (i < j)
+            for i in range(j):
+                checks.append(
+                    (f"d{i} d{j}", face(i) * face(j), face(j - 1) * face(i))
+                )
+            # s_i s_j = s_{j+1} s_i  (i <= j), needs headroom of two
+            if m + 2 <= model.max_degree:
+                for i in range(j + 1):
+                    checks.append((
+                        f"s{i} s{j}",
+                        degeneracy(i) * degeneracy(j),
+                        degeneracy(j + 1) * degeneracy(i),
+                    ))
+            # d_i s_j, all three cases
+            if m + 1 <= model.max_degree:
+                for i in range(m + 2):
+                    if i == j or i == j + 1:
+                        rhs = None
+                    elif i < j:
+                        rhs = degeneracy(j - 1) * face(i)
+                    else:
+                        rhs = degeneracy(j) * face(i - 1)
+                    checks.append((f"d{i} s{j}", face(i) * degeneracy(j), rhs))
         for label in model.basis(m):
             x = model.element([label], m)
-            for j in range(m + 1):
-                # d_i d_j = d_{j-1} d_i  (i < j)
-                for i in range(j):
-                    lhs = model.apply_word(face(i) * face(j), x)
-                    rhs = model.apply_word(face(j - 1) * face(i), x)
-                    if lhs != rhs:
-                        bad.append(f"{model.name}: d{i} d{j} on {label} at degree {m}")
-                # s_i s_j = s_{j+1} s_i  (i <= j), needs headroom of two
-                if m + 2 <= model.max_degree:
-                    for i in range(j + 1):
-                        lhs = model.apply_word(degeneracy(i) * degeneracy(j), x)
-                        rhs = model.apply_word(degeneracy(j + 1) * degeneracy(i), x)
-                        if lhs != rhs:
-                            bad.append(
-                                f"{model.name}: s{i} s{j} on {label} at degree {m}"
-                            )
-                # d_i s_j, all three cases
-                if m + 1 <= model.max_degree:
-                    for i in range(m + 2):
-                        lhs = model.apply_word(face(i) * degeneracy(j), x)
-                        if i == j or i == j + 1:
-                            rhs = x
-                        elif i < j:
-                            rhs = model.apply_word(degeneracy(j - 1) * face(i), x)
-                        else:
-                            rhs = model.apply_word(degeneracy(j) * face(i - 1), x)
-                        if lhs != rhs:
-                            bad.append(
-                                f"{model.name}: d{i} s{j} on {label} at degree {m}"
-                            )
+            for name, lw, rw in checks:
+                lhs = model.apply_word(lw, x)
+                rhs = x if rw is None else model.apply_word(rw, x)
+                if lhs != rhs:
+                    bad.append(f"{model.name}: {name} on {label} at degree {m}")
     return bad
 
 

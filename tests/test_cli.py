@@ -163,7 +163,8 @@ def test_output_file(capsys, tmp_path):
     ("dump-transform", "--name", "shuffle", "--i", "1", "--j", "1"),
 ], ids=["verify", "delta", "homology", "dump-transform"])
 def test_unwritable_output_is_a_config_error(capsys, tmp_path, monkeypatch, argv):
-    # a missing directory is rejected before any subcommand does its work
+    # a missing directory, or a directory as the file, is rejected before
+    # any subcommand does its work
     def no_work(*args, **kwargs):
         raise AssertionError("the subcommand ran before --output was checked")
 
@@ -177,6 +178,11 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, monkeypatch, argv
     assert f"error: cannot write {target}: No such file or directory" in err
     assert not target.exists()
     assert not target.parent.exists()
+    # so is an --output that names an existing directory
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {tmp_path}: Is a directory" in err
 
 
 def test_no_subcommand(capsys):

@@ -16,6 +16,7 @@ from simpdelta.models import (
     DegreeMismatchError,
     F2Element,
     OutOfRangeError,
+    TensorElement,
     TruncationOverflowError,
     algebra_model,
     boundary_delta_model,
@@ -26,7 +27,8 @@ from simpdelta.models import (
     tensor,
     verify_simplicial_identities,
 )
-from simpdelta.transforms import shuffle_map
+from simpdelta.relations import _chain_map_transform
+from simpdelta.transforms import higher_shuffle, shuffle_map
 from simpdelta.words import (
     DEGENERACY,
     FACE,
@@ -39,15 +41,20 @@ from simpdelta.words import (
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-ALL_MODELS = [
-    delta_model(1, 4),
-    delta_model(2, 4),
-    boundary_delta_model(2, 4),
-    sphere_model(2, 5),
-    sphere_model(3, 6),
-    algebra_model(2, 5, 2),
-    algebra_model(2, 6, 4, quotient=True),
-]
+
+def _all_models():
+    return [
+        delta_model(1, 4),
+        delta_model(2, 4),
+        boundary_delta_model(2, 4),
+        sphere_model(2, 5),
+        sphere_model(3, 6),
+        algebra_model(2, 5, 2),
+        algebra_model(2, 6, 4, quotient=True),
+    ]
+
+
+ALL_MODELS = _all_models()
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -155,35 +162,57 @@ def _oracle_act_by_word(model, w, x):
 
 
 def _outcome(act):
-    """The image, or the type of the exception the action raised."""
+    """The image, or what the raised exception says: type, message, fields."""
     try:
         return act()
-    except (OutOfRangeError, TruncationOverflowError) as exc:
-        return type(exc)
+    except OutOfRangeError as exc:
+        return OutOfRangeError, str(exc), exc.generator, exc.degree
+    except TruncationOverflowError as exc:
+        return TruncationOverflowError, str(exc)
 
 
 @pytest.mark.parametrize("model, word, labels, degree, want", [
     # d0(0-1) = d0(1-1) = 1, so the two images cancel
     (delta_model(1, 4), "d0", [(0, 1), (1, 1)], 1, F2Element(0, frozenset())),
     # the degeneracy is checked even though there is nothing to act on
-    (delta_model(1, 4), "s0", [], 4, TruncationOverflowError),
+    (delta_model(1, 4), "s0", [], 4,
+     (TruncationOverflowError, "s0 pushes degree 4 past max_degree 4")),
     # the faces reach degree -1, so s3 is absorbed unchecked
     (delta_model(1, 4), "s3 s0 s0 d0 d0", [(0, 1)], 1, F2Element(2, frozenset())),
     # a face out of degree 0 is zero, even on the algebra's unit
     (algebra_model(2, 5, 2), "d0", [()], 0, F2Element(-1, frozenset())),
-], ids=["cancel", "empty-overflow", "absorbed", "face-at-degree-0"])
+    # ... and as the last letter of a longer word
+    (delta_model(1, 4), "d0 d1", [(0, 1)], 1, F2Element(-1, frozenset())),
+    (delta_model(2, 4), "id", [(0, 1, 2), (0, 0, 1)], 2,
+     F2Element(2, frozenset({(0, 1, 2), (0, 0, 1)}))),
+    # one word at one degree on two models: only the second overflows, so
+    # a plan made for the first must not serve the second
+    (delta_model(1, 4), "s0 s0", [(0, 1)], 1,
+     F2Element(3, frozenset({(0, 0, 0, 1)}))),
+    (delta_model(1, 2), "s0 s0", [(0, 1)], 1,
+     (TruncationOverflowError, "s0 pushes degree 2 past max_degree 2")),
+    (delta_model(1, 4), "s3 s0", [(0, 1)], 1,
+     (OutOfRangeError, "s3 is not defined on degree 2", (DEGENERACY, 3), 2)),
+    # a face can reverse the order of two factors, so the image is re-sorted
+    (algebra_model(2, 5, 2), "d1", [((0, 0, 1, 2, 2), (0, 1, 1, 1, 2))], 4,
+     F2Element(3, frozenset({((0, 1, 1, 2), (0, 1, 2, 2))}))),
+], ids=["cancel", "empty-overflow", "absorbed", "face-at-degree-0",
+        "last-face-at-degree-0", "identity", "roomy", "tight", "out-of-range",
+        "algebra-resort"])
 def test_word_action_pinned_cases(model, word, labels, degree, want):
     x = model.element(labels, degree)
     w = parse_word(word)
-    assert _outcome(lambda: model.apply_word(w, x)) == want
     assert _outcome(lambda: _oracle_act_by_word(model, w, x)) == want
+    for plan in ("cold", "cached"):
+        assert _outcome(lambda: model.apply_word(w, x)) == want, plan
 
 
 @settings(max_examples=400)
 @given(st.data())
 def test_word_action_matches_generator_oracle(data):
     """One pass over the letters equals acting generator by generator."""
-    model = data.draw(st.sampled_from(ALL_MODELS), label="model")
+    index = data.draw(st.integers(0, len(ALL_MODELS) - 1), label="model")
+    model = ALL_MODELS[index]
     q = data.draw(st.integers(-1, model.max_degree), label="degree")
     basis = model.basis(q)
     labels = data.draw(
@@ -201,9 +230,11 @@ def test_word_action_matches_generator_oracle(data):
     )
     w = Word(tuple(letters))
     x = model.element(labels, q)
-    assert _outcome(lambda: model.apply_word(w, x)) == _outcome(
-        lambda: _oracle_act_by_word(model, w, x)
-    )
+    want = _outcome(lambda: _oracle_act_by_word(model, w, x))
+    # a fresh model compiles the word on the first call, reuses it on the second
+    fresh = _all_models()[index]
+    for plan in ("cold", "cached"):
+        assert _outcome(lambda: fresh.apply_word(w, x)) == want, plan
 
 
 def test_boundary_operator():
@@ -275,6 +306,55 @@ def test_tensor_evaluation():
     assert labels == [("0-0-1", "0-1-1"), ("0-1-1", "0-0-1")]
     with pytest.raises(DegreeMismatchError):
         tensor(x, x) + tensor(x, dm.element([(0,)], 0))
+
+
+def _oracle_evaluate_em(transform, element, left_model, right_model):
+    """Term by term and pair by pair, acting letter by letter, no caches."""
+    i, j = element.left_degree, element.right_degree
+    k, l = transform.target(i, j)
+    acc: set = set()
+    if k >= 0 and l >= 0:
+        for wl, wr in transform.terms(i, j):
+            for a, b in element.pairs:
+                left = _oracle_act_by_word(left_model, wl, left_model.element([a], i))
+                if not left:
+                    continue
+                right = _oracle_act_by_word(right_model, wr, right_model.element([b], j))
+                for la in left.support:
+                    for lb in right.support:
+                        acc ^= {(la, lb)}
+    return TensorElement(k, l, frozenset(acc))
+
+
+@pytest.mark.parametrize("transform", [
+    shuffle_map(), higher_shuffle(1), higher_shuffle(2), _chain_map_transform(),
+], ids=["D", "D1", "D2", "chain-map"])
+@pytest.mark.parametrize("left, right", [
+    (delta_model(1, 3), delta_model(2, 3)),
+    (sphere_model(1, 4), sphere_model(2, 4)),
+    (algebra_model(1, 4, 2), algebra_model(2, 4, 3)),
+], ids=["delta", "sphere", "algebra"])
+def test_evaluate_em_matches_term_oracle(left, right, transform):
+    seen = set()
+    for i in range(left.max_degree + 1):
+        for j in range(right.max_degree + 1):
+            # the empty tensor, then pairs sharing left and right labels
+            xs = [left.element(list(left.basis(i)[:n]), i) for n in (0, 2, 3)]
+            ys = [right.element(list(right.basis(j)[:n]), j) for n in (0, 2)]
+            for x in xs:
+                for y in ys:
+                    t = tensor(x, y)
+                    want = _outcome(lambda: _oracle_evaluate_em(transform, t, left, right))
+                    assert _outcome(lambda: evaluate_em(transform, t, left, right)) == want
+                    if isinstance(want, TensorElement):
+                        if min(want.left_degree, want.right_degree) < 0:
+                            seen.add("negative")
+                    else:
+                        seen.add(want[0].__name__)
+    # every case reaches a truncating input, and one with a negative target
+    # bidegree where the transform has one
+    assert "TruncationOverflowError" in seen
+    assert ("negative" in seen) == (min(transform.target(0, 0)) < 0)
 
 
 def test_model_dump_golden():
