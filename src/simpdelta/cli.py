@@ -270,6 +270,8 @@ _INDEXED_TRANSFORMS = {
 
 def _cmd_dump(args) -> int:
     if args.name in _PLAIN_TRANSFORMS:
+        if args.k is not None:
+            raise _ConfigError(f"--name {args.name} takes no --k")
         transform: EMTransform = _PLAIN_TRANSFORMS[args.name]()
     elif args.name in _INDEXED_TRANSFORMS:
         if args.k is None or args.k < 0:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
-from .models import F2Element, Model
-from .words import face
+from .models import F2Element, Model, letter_theta, theta_map
+from .words import FACE, face
 
 
 class NotACycleError(Exception):
@@ -138,13 +138,19 @@ def _face_columns(
     columns of a face-kernel matrix).
     """
     index = {lbl: c for c, lbl in enumerate(model.basis(q - 1))}
+    identity = tuple(range(q + 1))
+    faces = [
+        ((r - first_face) * stride, theta_map(letter_theta(identity, (FACE, r))))
+        for r in range(first_face, q + 1)
+    ]
+    rule = model.theta_label
     cols = []
     for lbl in labels:
         v = 0
-        for r in range(first_face, q + 1):
-            img = model.face_label(r, lbl, q)
+        for shift, gather in faces:
+            img = rule(gather, lbl)
             if img is not None:
-                v ^= 1 << (index[img] + (r - first_face) * stride)
+                v ^= 1 << (index[img] + shift)
         cols.append(v)
     return cols
 

@@ -7,15 +7,18 @@ surjective tuples).  The algebra model is the polynomial algebra on the
 sphere's basis in each degree, truncated at a polynomial degree bound;
 its monomials are sorted multisets of sphere labels.
 
-Each model gives the label rules ``face_label`` and ``degen_label``; the
-one action on elements is ``Model.apply_word``, where a single face or
-degeneracy is a one-letter word.  ``apply_word`` compiles each (word,
-source degree) once per model: the letter-by-letter range and truncation
-checks are replayed unchanged, and what survives them is the zero map or
-an order-preserving map of vertex positions, applied to each label by the
-model's ``theta_label``.  ``face_label`` and ``degen_label`` remain the
-definition; the associated complex and ``dump_model`` read them, and the
-tests check ``apply_word`` against them.
+Words act on a label through one order-preserving map θ of vertex
+positions (May, *Simplicial Objects in Algebraic Topology*, §1):
+``letter_theta`` is the rule for one letter (d_r drops position r, s_r
+repeats it), and every θ is composed from it.  Each model has one label
+rule, ``theta_label``: the label's vertices gathered through θ, kept when
+the image is still a basis label (a module model's membership test, which
+is the sphere's quotient) and re-sorted factorwise for algebra monomials.
+The one action on elements is ``Model.apply_word``, where a single face
+or degeneracy is a one-letter word; it compiles each (word, source
+degree) once per model, replaying the letter-by-letter range and
+truncation checks unchanged.  The associated complex and ``dump_model``
+read the same rule through the one-letter θ.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError,
@@ -27,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
-from .words import Word, OutOfRangeError, DEGENERACY, degeneracy, face
+from .words import Word, OutOfRangeError, DEGENERACY, FACE, degeneracy, face
 
 
 class TruncationOverflowError(Exception):
@@ -60,21 +64,39 @@ class F2Element:
         return len(self.support)
 
 
+def letter_theta(theta: tuple, generator) -> tuple:
+    """The positions map after one more letter: d_r drops position r, s_r repeats it.
+
+    ``theta`` lists, for each vertex of the image, the source position it
+    comes from; ``tuple(range(m + 1))`` is the identity at degree m.
+    """
+    kind, r = generator
+    if kind == DEGENERACY:
+        return theta[: r + 1] + theta[r:]
+    return theta[:r] + theta[r + 1 :]
+
+
+def theta_map(theta: tuple):
+    """The function ``label -> tuple(label[p] for p in theta)``, built once."""
+    if len(theta) > 1:
+        return itemgetter(*theta)
+    # itemgetter of one position returns the bare vertex, of none it fails
+    return lambda label: tuple([label[p] for p in theta])
+
+
 class Model:
-    """Common machinery: elements, label rules, the action of words."""
+    """Common machinery: elements, the action of words.
+
+    Each subclass gives its basis and one label rule,
+    ``theta_label(gather, label)``: the image of a basis label under a
+    compiled θ (see ``theta_map``), or None for zero.
+    """
 
     name: str
     n: int
     max_degree: int
 
     def basis(self, degree: int) -> tuple:
-        raise NotImplementedError
-
-    def face_label(self, i: int, label, degree: int):
-        """Image label under d_i, or None for zero."""
-        raise NotImplementedError
-
-    def degen_label(self, i: int, label, degree: int):
         raise NotImplementedError
 
     def label_str(self, label) -> str:
@@ -93,15 +115,6 @@ class Model:
             support = frozenset(acc)
         return F2Element(degree, support)
 
-    def theta_label(self, theta: tuple, label):
-        """Image label under the compiled map ``theta``, or None for zero.
-
-        ``theta`` lists, for each target vertex, the source position it
-        comes from; it is the composite of the letters' ``face_label`` and
-        ``degen_label`` rules, which stay the definition.
-        """
-        raise NotImplementedError
-
     def apply_word(self, w: Word, x: F2Element) -> F2Element:
         """Act by ``w``: its compiled plan at ``x.degree``, then one rule per label.
 
@@ -113,20 +126,20 @@ class Model:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(w, x.degree)
-        target, theta, error = plan
+        target, gather, error = plan
         if error is not None:
             raise error()
-        if theta is None:
+        if gather is None:
             return self.zero(target)
         images = []
         for lbl in x.support:
-            img = self.theta_label(theta, lbl)
+            img = self.theta_label(gather, lbl)
             if img is not None:
                 images.append(img)
         return self.element(images, target)
 
     def _compile(self, w: Word, m: int) -> tuple:
-        """Walk the letters once, rightmost first: (target, theta, error).
+        """Walk the letters once, rightmost first: (target, gather, error).
 
         Every letter is checked against the running degree whatever the
         support (OutOfRangeError, or TruncationOverflowError past
@@ -134,8 +147,8 @@ class Model:
         factory for the exception to raise.  A face out of degree 0 lands
         in the zero space and the remaining letters are absorbed, the
         convention that decides definedness of the word itself; then
-        ``theta`` is None, the zero map.  Otherwise ``theta`` is the
-        order-preserving map of source positions the word induces.
+        ``gather`` is None, the zero map.  Otherwise it gathers through the
+        θ that ``letter_theta`` composes letter by letter.
         """
         target = w.target_degree(m)
         theta = tuple(range(m + 1))
@@ -151,14 +164,13 @@ class Model:
                         TruncationOverflowError,
                         f"s{r} pushes degree {m} past max_degree {self.max_degree}",
                     )
-                theta = theta[: r + 1] + theta[r:]
                 m += 1
             elif m == 0:
                 return target, None, None
             else:
-                theta = theta[:r] + theta[r + 1 :]
                 m -= 1
-        return target, theta, None
+            theta = letter_theta(theta, generator)
+        return target, theta_map(theta), None
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
@@ -204,15 +216,15 @@ class ModuleModel(Model):
             )
         return self._basis[degree]
 
-    def face_label(self, i: int, label, degree: int):
-        """Drop vertex i: the rule of a closed subcomplex of Delta(n)."""
-        return label[:i] + label[i + 1 :]
+    def theta_label(self, gather, label):
+        """The gathered vertices, or None when they leave the basis.
 
-    def degen_label(self, i: int, label, degree: int):
-        return label[: i + 1] + label[i:]
-
-    def theta_label(self, theta, label):
-        return tuple([label[p] for p in theta])
+        Faces only shrink a tuple's vertex set and degeneracies keep it,
+        so membership is exactly the sphere's quotient, and it always
+        holds for Delta(n) and its boundary.
+        """
+        img = gather(label)
+        return img if self._member(img) else None
 
     def label_str(self, label) -> str:
         return "-".join(str(v) for v in label)
@@ -254,16 +266,6 @@ class SphereModel(ModuleModel):
 
     def _member(self, label):
         return len(set(label)) == self.n + 1
-
-    def face_label(self, i, label, degree):
-        img = label[:i] + label[i + 1 :]  # the closed rule, then the quotient
-        return img if len(set(img)) == self.n + 1 else None
-
-    def theta_label(self, theta, label):
-        # faces only shrink a tuple's vertex set and degeneracies keep it,
-        # so a composite is nonzero exactly when its image is surjective
-        img = tuple([label[p] for p in theta])
-        return img if len(set(img)) == self.n + 1 else None
 
     def fundamental_class(self) -> F2Element:
         return self.element([tuple(range(self.n + 1))], self.n)
@@ -312,22 +314,11 @@ class AlgebraModel(Model):
             self._basis[degree] = tuple(monos)
         return self._basis[degree]
 
-    def face_label(self, i, mono, degree):
+    def theta_label(self, gather, mono):
+        """The sphere rule factor by factor, re-sorted; zero if a factor dies."""
         out = []
         for f in mono:
-            img = self.underlying.face_label(i, f, degree)
-            if img is None:
-                return None
-            out.append(img)
-        return tuple(sorted(out))
-
-    def degen_label(self, i, mono, degree):
-        return tuple(sorted(self.underlying.degen_label(i, f, degree) for f in mono))
-
-    def theta_label(self, theta, mono):
-        out = []
-        for f in mono:
-            img = self.underlying.theta_label(theta, f)
+            img = self.underlying.theta_label(gather, f)
             if img is None:
                 return None
             out.append(img)
@@ -504,35 +495,35 @@ def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list
 
 
 def dump_model(model: Model, up_to: int | None = None) -> dict:
-    """JSON-ready dump: bases and generator action tables per degree."""
+    """JSON-ready dump: bases and generator action tables per degree.
+
+    Each entry is the model's one label rule through the one-letter θ,
+    None where the image is zero.  In degree 0 the faces print the empty
+    label, the rule's image under the empty θ, although ``apply_word``
+    treats a face out of degree 0 as the zero map.
+    """
     top = model.max_degree if up_to is None else up_to
+
+    def table(labels, m, kind):
+        out = []
+        for i in range(m + 1):
+            gather = theta_map(letter_theta(tuple(range(m + 1)), (kind, i)))
+            row = {}
+            for lbl in labels:
+                img = model.theta_label(gather, lbl)
+                row[model.label_str(lbl)] = None if img is None else model.label_str(img)
+            out.append(row)
+        return out
+
     degrees = []
     for m in range(top + 1):
         labels = model.basis(m)
         entry = {
             "degree": m,
             "basis": [model.label_str(lbl) for lbl in labels],
-            "faces": [
-                {
-                    model.label_str(lbl): (
-                        None
-                        if model.face_label(i, lbl, m) is None
-                        else model.label_str(model.face_label(i, lbl, m))
-                    )
-                    for lbl in labels
-                }
-                for i in range(m + 1)
-            ],
+            "faces": table(labels, m, FACE),
         }
         if m + 1 <= top:
-            entry["degeneracies"] = [
-                {
-                    model.label_str(lbl): model.label_str(
-                        model.degen_label(i, lbl, m)
-                    )
-                    for lbl in labels
-                }
-                for i in range(m + 1)
-            ]
+            entry["degeneracies"] = table(labels, m, DEGENERACY)
         degrees.append(entry)
     return {"model": model.name, "max_degree": top, "degrees": degrees}

@@ -32,7 +32,7 @@ from .transforms import (
     word_pair,
     zero_transform,
 )
-from .words import DEGENERACY, FACE, Word, face, is_defined, normalize
+from .words import DEGENERACY, FACE, IDENTITY, Word, face, is_defined, normalize
 
 
 class UnknownRelationError(Exception):
@@ -310,39 +310,24 @@ def _recursion(k: int, max_total: int) -> RelationResult:
     derivation suspends a sum whose target index is negative, where
     suspension of formal words and of transformations disagree).  That
     bidegree lies below the i+j >= 2k line, so nothing downstream uses
-    it.  The checker asserts the recursion away from (1, 0) and pins the
-    known defect there exactly, so any drift still fails.
+    it.  The checker adds the known defect to the right side at (1, 0)
+    exactly, so any drift still fails.
     """
-    name = f"recursion-{k}"
-    description = f"defect recursion at k = {k}"
     prev = dwyer_defect(k - 1)
     step = face0_right() if k % 2 == 0 else face0_left()
     rhs = prev.suspend() + prev * step
-    lhs = dwyer_defect(k)
-    cases = 0
-    for total in range(max_total + 1):
-        for i in range(total + 1):
-            j = total - i
-            lv = lhs.reduced(i, j)
-            rv = rhs.reduced(i, j)
-            cases += 1
-            if k == 1 and (i, j) == (1, 0):
-                defect = {(str(a), str(b)) for a, b in lv ^ rv}
-                if defect == {("d1", "id")}:
-                    continue
-                return RelationResult(
-                    name, description, cases, False,
-                    f"bidegree (1, 0): expected the known defect d1 (x) id, "
-                    f"got {sorted(defect)}",
-                )
-            if lv != rv:
-                return RelationResult(
-                    name, description, cases, False,
-                    f"bidegree ({i}, {j}): "
-                    f"left-only {sorted(map(_pair_str, lv - rv))}, "
-                    f"right-only {sorted(map(_pair_str, rv - lv))}",
-                )
-    return RelationResult(name, description, cases, True)
+    if k == 1:
+        defect = frozenset({(face(1), IDENTITY)})
+        rhs = rhs + EMTransform(
+            rhs.index_fn, lambda i, j: defect if (i, j) == (1, 0) else frozenset()
+        )
+    return _compare(
+        f"recursion-{k}",
+        f"defect recursion at k = {k}",
+        dwyer_defect(k),
+        rhs,
+        max_total,
+    )
 
 
 _FIXED = {

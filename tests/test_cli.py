@@ -145,6 +145,11 @@ def test_dump_transform_argument_errors(capsys):
     code, _, err = run(capsys, "dump-transform", "--name", "bogus",
                        "--i", "1", "--j", "1")
     assert code == 2
+    code, out, err = run(capsys, "dump-transform", "--name", "shuffle",
+                         "--k", "3", "--i", "1", "--j", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --name shuffle takes no --k\n"
 
 
 def test_output_file(capsys, tmp_path):

@@ -6,6 +6,7 @@ on top, and the normalized complex must agree with the associated one.
 """
 
 import pytest
+from label_oracle import letter_label
 
 from simpdelta import homology
 from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
@@ -25,7 +26,7 @@ from simpdelta.models import (
     delta_model,
     sphere_model,
 )
-from simpdelta.words import face
+from simpdelta.words import FACE, face
 
 MODELS = [
     delta_model(1, 3),
@@ -184,22 +185,27 @@ def test_shared_complex_verdicts_match_fresh_build(model):
 # -- the label-string construction, kept as the oracle -----------------------
 
 
-def _oracle_face_kernel(model, q):
-    """Common kernel of d_1 .. d_q, faces stacked in a loop of its own."""
-    labels = model.basis(q)
-    if q == 0:
-        return [1 << c for c in range(len(labels))]
+def _oracle_stacked_faces(model, q, first_face):
+    """Faces d_first_face .. d_q of each label, stacked in a loop of its own."""
     lower = model.basis(q - 1)
     index = {lbl: c for c, lbl in enumerate(lower)}
     cols = []
-    for lbl in labels:
+    for lbl in model.basis(q):
         stacked = 0
-        for r in range(1, q + 1):
-            img = model.face_label(r, lbl, q)
+        for r in range(first_face, q + 1):
+            img = letter_label(model, (FACE, r), lbl, q)
             if img is not None:
-                stacked ^= 1 << (index[img] + (r - 1) * len(lower))
+                stacked ^= 1 << (index[img] + (r - first_face) * len(lower))
         cols.append(stacked)
-    return reduced_echelon(F2Matrix(len(lower) * q, cols).kernel_basis())
+    return cols
+
+
+def _oracle_face_kernel(model, q):
+    """Common kernel of d_1 .. d_q."""
+    if q == 0:
+        return [1 << c for c in range(len(model.basis(q)))]
+    cols = _oracle_stacked_faces(model, q, 1)
+    return reduced_echelon(F2Matrix(len(model.basis(q - 1)) * q, cols).kernel_basis())
 
 
 def _oracle_normalized_diff(model):
@@ -211,7 +217,7 @@ def _oracle_normalized_diff(model):
         index = {lbl: c for c, lbl in enumerate(labels[q - 1])}
         out = 0
         for c in bits(vec):
-            img = model.face_label(0, labels[q][c], q)
+            img = letter_label(model, (FACE, 0), labels[q][c], q)
             if img is not None:
                 out ^= 1 << index[img]
         return out
@@ -253,6 +259,13 @@ def test_label_free_complexes_match_label_oracle(model):
     assert norm.diff == diff
     assert norm.betti_rows() == _oracle_betti_rows(diff)
     assoc = associated_complex(model)
+    for q in range(1, model.max_degree + 1):
+        # the stacked layout itself: a block shifted by a whole stride keeps
+        # every kernel, so only the columns show it
+        stride = len(model.basis(q - 1))
+        for first_face in (0, 1):
+            cols = homology._face_columns(model, q, model.basis(q), first_face, stride)
+            assert cols == _oracle_stacked_faces(model, q, first_face), (q, first_face)
     for q in range(model.max_degree + 1):
         for c, lbl in enumerate(model.basis(q)):
             x = model.element([lbl], q)

@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from label_oracle import letter_label
 
 from simpdelta.models import (
     DegreeMismatchError,
@@ -94,8 +95,11 @@ def test_sphere_is_the_quotient_of_delta():
     dm = delta_model(2, 4)
     sm = sphere_model(2, 4)
     # labels not using every vertex are identified with the basepoint
-    assert sm.face_label(0, (0, 1, 2), 2) is None
-    assert sm.degen_label(0, (0, 1, 2), 2) == (0, 0, 1, 2)
+    top = sm.element([(0, 1, 2)], 2)
+    assert letter_label(sm, (FACE, 0), (0, 1, 2), 2) is None
+    assert not sm.apply_word(face(0), top)
+    assert letter_label(sm, (DEGENERACY, 0), (0, 1, 2), 2) == (0, 0, 1, 2)
+    assert sm.apply_word(degeneracy(0), top) == sm.element([(0, 0, 1, 2)], 3)
     for q in range(5):
         full = [lbl for lbl in dm.basis(q) if len(set(lbl)) == 3]
         assert tuple(full) == sm.basis(q)
@@ -141,15 +145,11 @@ def _oracle_act_by_letter(model, generator, x):
             raise TruncationOverflowError(
                 f"s{r} pushes degree {m} past max_degree {model.max_degree}"
             )
-        for lbl in x.support:
-            acc ^= {model.degen_label(r, lbl, m)}
-        return F2Element(m + 1, frozenset(acc))
-    if m > 0:
-        for lbl in x.support:
-            img = model.face_label(r, lbl, m)
-            if img is not None:
-                acc ^= {img}
-    return F2Element(m - 1, frozenset(acc))
+    for lbl in x.support:
+        img = letter_label(model, generator, lbl, m)
+        if img is not None:
+            acc ^= {img}
+    return F2Element(m + 1 if kind == DEGENERACY else m - 1, frozenset(acc))
 
 
 def _oracle_act_by_word(model, w, x):
@@ -361,3 +361,26 @@ def test_model_dump_golden():
     got = dump_model(delta_model(1, 2))
     want = json.loads((GOLDEN / "delta1_model.json").read_text())
     assert got == want
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_model_dump_is_the_word_action(model):
+    """Every dumped entry is the apply_word image of that one label."""
+    for m, entry in enumerate(dump_model(model)["degrees"]):
+        labels = model.basis(m)
+        assert len(entry["faces"]) == m + 1
+        assert ("degeneracies" in entry) == (m < model.max_degree)
+        for letter, key in ((face, "faces"), (degeneracy, "degeneracies")):
+            for i, table in enumerate(entry.get(key, [])):
+                assert list(table) == [model.label_str(lbl) for lbl in labels]
+                for lbl in labels:
+                    got = table[model.label_str(lbl)]
+                    if key == "faces" and m == 0:
+                        # a vertex's face prints as the empty label, though
+                        # the action out of degree 0 is the zero map
+                        assert got == model.label_str(())
+                        continue
+                    out = model.apply_word(letter(i), model.element([lbl], m))
+                    assert len(out) <= 1
+                    want = next((model.label_str(img) for img in out.support), None)
+                    assert got == want, (key, i, lbl)
