@@ -17,8 +17,6 @@ from simpdelta.transforms import (
     dwyer_defect,
     higher_shuffle,
     shuffle_map,
-    suspend,
-    twist,
 )
 
 D = shuffle_map()
@@ -53,9 +51,9 @@ for bidegree in [(1, 1), (2, 1), (2, 2), (3, 2)]:
 # Suspension and twist act on whole transformations.  Twisting D twice
 # gives D back.
 print("twist(twist(D)) == D at (2, 2):",
-      dump_bidegree(twist(twist(D)), 2, 2) == dump_bidegree(D, 2, 2))
+      dump_bidegree(D.twist().twist(), 2, 2) == dump_bidegree(D, 2, 2))
 
 # Suspending shifts the whole grid diagonally.
-SD = suspend(D)
+SD = D.suspend()
 print("suspend(D) at (2, 2):", dump_bidegree(SD, 2, 2)["terms"])
 print("        D  at (1, 1):", dump_bidegree(D, 1, 1)["terms"])

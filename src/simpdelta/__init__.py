@@ -84,8 +84,6 @@ from .transforms import (
     identity_transform,
     shuffle_map,
     shuffles,
-    suspend,
-    twist,
     word_pair,
     zero_transform,
 )
@@ -100,7 +98,6 @@ from .words import (
     degeneracy_word,
     is_defined,
     normalize,
-    normalize_sum,
     parse_word,
 )
 

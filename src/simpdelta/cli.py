@@ -142,12 +142,8 @@ def _cmd_delta(args) -> int:
         raise _ConfigError("--q must be >= 1")
     if not 1 <= i <= q:
         raise _ConfigError(f"need 1 <= i <= q, got i={i}, q={q}")
-    max_degree = args.max_degree if args.max_degree is not None else q + i + 1
-    if max_degree < q + i + 1:
-        raise _ConfigError(
-            f"--max-degree must be at least q+i+1 = {q + i + 1} "
-            "for the homology verdict"
-        )
+    # the homology verdict needs the boundaries into degree q+i
+    max_degree = q + i + 1
     if args.poly < 2:
         raise _ConfigError("--poly must be >= 2 (the operation squares its input)")
     if args.perturbations < 0:
@@ -187,20 +183,26 @@ def _cmd_delta(args) -> int:
     return 0
 
 
+_MODULE_MODELS = {
+    "delta": delta_model,
+    "boundary": boundary_delta_model,
+    "sphere": sphere_model,
+}
+
+
 def _build_model(args):
     if args.n < 0:
         raise _ConfigError("--n must be >= 0")
     if args.max_degree < 0:
         raise _ConfigError("--max-degree must be >= 0")
-    if args.model == "delta":
-        return delta_model(args.n, args.max_degree)
-    if args.model == "boundary":
-        return boundary_delta_model(args.n, args.max_degree)
-    if args.model == "sphere":
-        return sphere_model(args.n, args.max_degree)
-    if args.poly < 2:
+    if args.model != "sphere-algebra":
+        if args.poly is not None:
+            raise _ConfigError(f"--model {args.model} takes no --poly")
+        return _MODULE_MODELS[args.model](args.n, args.max_degree)
+    poly = 2 if args.poly is None else args.poly
+    if poly < 2:
         raise _ConfigError("--poly must be >= 2")
-    return algebra_model(args.n, args.max_degree, args.poly)
+    return algebra_model(args.n, args.max_degree, poly)
 
 
 def _cmd_homology(args) -> int:
@@ -307,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     delta = subs.add_parser("delta", help="evaluate delta_i on a fundamental cycle")
     delta.add_argument("--q", type=int, required=True)
     delta.add_argument("--i", type=int, required=True)
-    delta.add_argument("--max-degree", type=int, default=None)
     delta.add_argument("--poly", type=int, default=2)
     delta.add_argument("--perturbations", type=int, default=2)
     _add_common(delta)
@@ -317,12 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
     hom = subs.add_parser("homology", help="Betti tables for both chain complexes")
     hom.add_argument(
         "--model",
-        choices=("delta", "boundary", "sphere", "sphere-algebra"),
+        choices=(*_MODULE_MODELS, "sphere-algebra"),
         default="sphere",
     )
     hom.add_argument("--n", type=int, required=True)
     hom.add_argument("--max-degree", type=int, required=True)
-    hom.add_argument("--poly", type=int, default=2)
+    hom.add_argument("--poly", type=int, default=None)
     _add_common(hom, default="csv")
     hom.set_defaults(handler=_cmd_homology)
 

@@ -34,12 +34,16 @@ class F2Matrix:
     """A linear map F2^ncols -> F2^nrows stored column-wise.
 
     ``columns[c]`` is the image of the c-th standard basis vector, packed
-    into an int over the target coordinates.
+    into an int over the target coordinates; a bit at or above ``nrows``
+    is a layout error and raises ValueError.
     """
 
     def __init__(self, nrows: int, columns: list[int]):
         self.nrows = nrows
         self.columns = list(columns)
+        for c, col in enumerate(self.columns):
+            if col >> nrows:
+                raise ValueError(f"column {c} has a bit at or above row {nrows}")
         self._pivots: dict[int, tuple[int, int]] | None = None
 
     @property

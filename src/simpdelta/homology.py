@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
-from .models import F2Element, Model, letter_theta, theta_map
-from .words import FACE, face
+from .models import F2Element, Model, theta_map
+from .words import FACE, face, letter_theta
 
 
 class NotACycleError(Exception):
@@ -123,14 +123,12 @@ def _shared_associated(model: Model, top: int) -> ChainComplexF2:
 def _build_associated(model: Model, top: int) -> ChainComplexF2:
     diff = [[0] * len(model.basis(0))]
     for q in range(1, top + 1):
-        diff.append(_face_columns(model, q, model.basis(q), 0, 0))
+        diff.append(_face_columns(model, q, 0, 0))
     return ChainComplexF2(diff)
 
 
-def _face_columns(
-    model: Model, q: int, labels, first_face: int, stride: int
-) -> list[int]:
-    """Faces d_first_face .. d_q of each label, one bitmask per label.
+def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[int]:
+    """Faces d_first_face .. d_q of each degree-q label, one bitmask per label.
 
     Face d_r is placed over the degree-(q-1) basis shifted by
     ``(r - first_face) * stride`` bits: stride 0 sums the faces mod 2
@@ -145,7 +143,7 @@ def _face_columns(
     ]
     rule = model.theta_label
     cols = []
-    for lbl in labels:
+    for lbl in model.basis(q):
         v = 0
         for shift, gather in faces:
             img = rule(gather, lbl)
@@ -164,7 +162,7 @@ def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComp
     """
     top = model.max_degree if max_degree is None else max_degree
     assoc = _shared_associated(model, top)
-    nbases = [_face_kernel(model, q, model.basis(q), 1) for q in range(top + 1)]
+    nbases = [_face_kernel(model, q, 1) for q in range(top + 1)]
     diff = [[0] * len(nbases[0])]
     for q in range(1, top + 1):
         cols = []
@@ -179,39 +177,42 @@ def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComp
     return ChainComplexF2(diff)
 
 
-def _face_kernel(model: Model, q: int, labels, first_face: int) -> list[int]:
+def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
     """Reduced-echelon basis of the common kernel of d_first_face .. d_q.
 
-    The faces are stacked into one matrix whose columns are the labels;
-    the basis vectors are bitmasks over ``labels``.  In degree 0 every
-    face lands in the zero space, so the kernel is everything.
+    The faces are stacked into one matrix whose columns are the degree-q
+    labels; the basis vectors are bitmasks over ``model.basis(q)``.  In
+    degree 0 every face lands in the zero space, so the kernel is
+    everything.
     """
     if q == 0:
-        return [1 << c for c in range(len(labels))]
+        return [1 << c for c in range(len(model.basis(0)))]
     stride = len(model.basis(q - 1))
-    cols = _face_columns(model, q, labels, first_face, stride)
+    cols = _face_columns(model, q, first_face, stride)
     rows = stride * (q + 1 - first_face)
     return reduced_echelon(F2Matrix(rows, cols).kernel_basis())
 
 
-def _elements(q: int, labels, vectors: list[int]) -> list[F2Element]:
-    return [F2Element(q, frozenset(labels[c] for c in bits(v))) for v in vectors]
+def _elements(model: Model, q: int, first_face: int) -> list[F2Element]:
+    labels = model.basis(q)
+    return [
+        F2Element(q, frozenset(labels[c] for c in bits(v)))
+        for v in _face_kernel(model, q, first_face)
+    ]
 
 
 def normalized_subspace(model: Model, q: int) -> list[F2Element]:
     """Echelon basis of the common kernel of d_1, ..., d_q in degree q."""
-    labels = model.basis(q)
-    return _elements(q, labels, _face_kernel(model, q, labels, 1))
+    return _elements(model, q, 1)
 
 
-def cycle_subspace(model: Model, q: int, labels=None) -> list[F2Element]:
+def cycle_subspace(model: Model, q: int) -> list[F2Element]:
     """Echelon basis of the normalized cycles in degree q.
 
-    Restricting to a face-stable subset of basis labels cuts the search
-    to that slice of the model.
+    These are the elements every face kills, d_0 included: the common
+    kernel of d_0, ..., d_q over the whole degree-q basis.
     """
-    labels = list(model.basis(q) if labels is None else labels)
-    return _elements(q, labels, _face_kernel(model, q, labels, 0))
+    return _elements(model, q, 0)
 
 
 def element_vector(model: Model, x: F2Element) -> int:
@@ -234,16 +235,12 @@ def nonzero_face(model: Model, x: F2Element) -> int | None:
     return None
 
 
-def is_cycle(model: Model, x: F2Element, mode: str = "normalized") -> bool:
-    """Cycle test straight from the face actions, no complex needed.
-
-    normalized: every face of x vanishes; associated: the face sum does.
+def is_cycle(model: Model, x: F2Element) -> bool:
+    """Normalized cycle test straight from the face actions: every face of
+    x vanishes.  The associated test, that the face sum vanishes, is
+    ``not model.boundary(x)``.
     """
-    if mode == "normalized":
-        return nonzero_face(model, x) is None
-    if mode == "associated":
-        return not model.boundary(x)
-    raise ValueError(f"unknown cycle mode {mode!r}")
+    return nonzero_face(model, x) is None
 
 
 def same_class(model: Model, z1: F2Element, z2: F2Element) -> bool:

@@ -8,35 +8,33 @@ sphere's basis in each degree, truncated at a polynomial degree bound;
 its monomials are sorted multisets of sphere labels.
 
 Words act on a label through one order-preserving map θ of vertex
-positions (May, *Simplicial Objects in Algebraic Topology*, §1):
-``letter_theta`` is the rule for one letter (d_r drops position r, s_r
-repeats it), and every θ is composed from it.  Each model has one label
-rule, ``theta_label``: the label's vertices gathered through θ, kept when
-the image is still a basis label (a module model's membership test, which
-is the sphere's quotient) and re-sorted factorwise for algebra monomials.
-The one action on elements is ``Model.apply_word``, where a single face
-or degeneracy is a one-letter word; it compiles each (word, source
-degree) once per model, replaying the letter-by-letter range and
-truncation checks unchanged.  The associated complex and ``dump_model``
-read the same rule through the one-letter θ.
+positions (May, *Simplicial Objects in Algebraic Topology*, §1), composed
+by ``words.letter_theta`` (d_r drops position r, s_r repeats it).  Each
+model has one label rule, ``theta_label``: the label's vertices gathered
+through θ, kept when the image is still a basis label (a module model's
+membership test, which is the sphere's quotient) and re-sorted factorwise
+for algebra monomials.  The one action on elements is
+``Model.apply_word``, where a single face or degeneracy is a one-letter
+word; it compiles each (word, source degree) once per model, and what
+the word means there (defined, zero, or past the truncation) is
+``words.walk`` itself, run on the model's ``max_degree``.  The associated
+complex and ``dump_model`` read the same rule through the one-letter θ.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
-product exceeding the polynomial bound raises TruncationOverflowError,
-because silently dropped terms would corrupt cycle checks downstream.
+product exceeding the polynomial bound raises TruncationOverflowError
+(defined in ``words``, re-exported here), because silently dropped terms
+would corrupt cycle checks downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
-from .words import Word, OutOfRangeError, DEGENERACY, FACE, degeneracy, face
-
-
-class TruncationOverflowError(Exception):
-    """A computation left the representable range of a truncated model."""
+from .words import DEGENERACY, FACE, Word, degeneracy, face, letter_theta, walk
+from .words import OutOfRangeError, TruncationOverflowError  # also re-exported
 
 
 class DegreeMismatchError(Exception):
@@ -62,18 +60,6 @@ class F2Element:
 
     def __len__(self) -> int:
         return len(self.support)
-
-
-def letter_theta(theta: tuple, generator) -> tuple:
-    """The positions map after one more letter: d_r drops position r, s_r repeats it.
-
-    ``theta`` lists, for each vertex of the image, the source position it
-    comes from; ``tuple(range(m + 1))`` is the identity at degree m.
-    """
-    kind, r = generator
-    if kind == DEGENERACY:
-        return theta[: r + 1] + theta[r:]
-    return theta[:r] + theta[r + 1 :]
 
 
 def theta_map(theta: tuple):
@@ -119,16 +105,16 @@ class Model:
         """Act by ``w``: its compiled plan at ``x.degree``, then one rule per label.
 
         The plan is made once per (word, source degree) and kept on the
-        model; see ``_compile`` for the checks it replays.  The letters are
-        linear, so images are summed mod 2 once, at the end.
+        model; see ``_compile``.  The letters are linear, so images are
+        summed mod 2 once, at the end.
         """
         key = (w.factors, x.degree)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(w, x.degree)
-        target, gather, error = plan
-        if error is not None:
-            raise error()
+        target, gather, fail = plan
+        if fail is not None:
+            fail()  # raises a new exception on every call
         if gather is None:
             return self.zero(target)
         images = []
@@ -139,37 +125,24 @@ class Model:
         return self.element(images, target)
 
     def _compile(self, w: Word, m: int) -> tuple:
-        """Walk the letters once, rightmost first: (target, gather, error).
+        """The word's meaning at degree m: (target, gather, fail).
 
-        Every letter is checked against the running degree whatever the
-        support (OutOfRangeError, or TruncationOverflowError past
-        ``max_degree``); the first failing letter gives ``error``, a
-        factory for the exception to raise.  A face out of degree 0 lands
-        in the zero space and the remaining letters are absorbed, the
-        convention that decides definedness of the word itself; then
-        ``gather`` is None, the zero map.  Otherwise it gathers through the
-        θ that ``letter_theta`` composes letter by letter.
+        ``words.walk`` on this model's ``max_degree`` decides it, whatever
+        the support.  A word it rejects gets ``fail``, that walk bound to
+        its arguments, so every call raises a new OutOfRangeError or
+        TruncationOverflowError and the plan keeps no exception alive.  A
+        word it absorbs into the zero space gets ``gather`` None, the zero
+        map.  Otherwise ``gather`` reads the labels through the θ that
+        ``letter_theta`` composes from the letters, rightmost first.
         """
         target = w.target_degree(m)
-        theta = tuple(range(m + 1))
-        for generator in reversed(w.factors):
-            if m < 0:
-                return target, None, None
-            kind, r = generator
-            if r > m:
-                return target, None, partial(OutOfRangeError, generator, m)
-            if kind == DEGENERACY:
-                if m + 1 > self.max_degree:
-                    return target, None, partial(
-                        TruncationOverflowError,
-                        f"s{r} pushes degree {m} past max_degree {self.max_degree}",
-                    )
-                m += 1
-            elif m == 0:
-                return target, None, None
-            else:
-                m -= 1
-            theta = letter_theta(theta, generator)
+        try:
+            absorbed = walk(w.factors, m, self.max_degree) is None
+        except (OutOfRangeError, TruncationOverflowError):
+            return target, None, partial(walk, w.factors, m, self.max_degree)
+        if absorbed:
+            return target, None, None
+        theta = reduce(letter_theta, reversed(w.factors), tuple(range(m + 1)))
         return target, theta_map(theta), None
 
     def boundary(self, x: F2Element) -> F2Element:
@@ -449,15 +422,14 @@ def evaluate_em(
 # diagnostics
 
 
-def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list[str]:
+def verify_simplicial_identities(model: Model) -> list[str]:
     """Exhaustively check the five identities on the model's basis.
 
     Returns a list of violation descriptions (empty when all hold).
     """
-    top = model.max_degree if up_to is None else up_to
     bad: list[str] = []
 
-    for m in range(top + 1):
+    for m in range(model.max_degree + 1):
         # (name, lhs word, rhs word or None where the rhs is x itself)
         checks: list = []
         for j in range(m + 1):
@@ -494,7 +466,7 @@ def verify_simplicial_identities(model: Model, up_to: int | None = None) -> list
     return bad
 
 
-def dump_model(model: Model, up_to: int | None = None) -> dict:
+def dump_model(model: Model) -> dict:
     """JSON-ready dump: bases and generator action tables per degree.
 
     Each entry is the model's one label rule through the one-letter θ,
@@ -502,7 +474,7 @@ def dump_model(model: Model, up_to: int | None = None) -> dict:
     label, the rule's image under the empty θ, although ``apply_word``
     treats a face out of degree 0 as the zero map.
     """
-    top = model.max_degree if up_to is None else up_to
+    top = model.max_degree
 
     def table(labels, m, kind):
         out = []

@@ -156,7 +156,6 @@ def delta_report(
     model: AlgebraModel,
     z: F2Element,
     i: int,
-    check_homology: bool = True,
     perturbations: int = 0,
     seed: int = 0,
 ) -> dict:
@@ -182,15 +181,15 @@ def delta_report(
             for p in anchored_shuffle_pairs(q, i)
         ],
         "value": sorted(model.label_str(lbl) for lbl in value.support),
-        "is_cycle": is_cycle(model, value, "normalized"),
+        "is_cycle": is_cycle(model, value),
         "equals_theta": value == other,
     }
     if caught:
         report["warning"] = str(caught[0].message)
-    if check_homology and not is_cycle(model, value, "associated"):
+    if model.boundary(value):
         # no class to speak of (the i = 1 output has a surviving face)
         report["homology_class_nonzero"] = None
-    elif check_homology:
+    else:
         report["homology_class_nonzero"] = not same_class(
             model, value, model.zero(q + i)
         )
@@ -218,7 +217,7 @@ def delta_report(
                 if not b or any(len(label) > cap for label in z.support | b.support):
                     continue
                 perturbed = z + b
-                ok = is_cycle(model, perturbed, "normalized") and same_class(
+                ok = is_cycle(model, perturbed) and same_class(
                     model, value, delta_i(model, perturbed, i)
                 )
                 stable = stable and ok

@@ -173,14 +173,6 @@ class EMTransform:
         return EMTransform(self.index_fn.twisted(), rule)
 
 
-def suspend(transform: EMTransform) -> EMTransform:
-    return transform.suspend()
-
-
-def twist(transform: EMTransform) -> EMTransform:
-    return transform.twist()
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -12,6 +12,14 @@ epi-mono normal form
 and two words act identically on every simplicial vector space at a fixed
 source degree exactly when their normal forms there coincide.  That makes
 equality of induced maps decidable by syntactic comparison.
+
+What a word means at a source degree is decided by one walk over its
+letters, ``walk``: whether it is defined, whether it lands in the zero
+space, and, on a model truncated at some top degree, whether it leaves
+the model.  Normal forms and the model action both read it.  A word acts
+on vertex labels through one order-preserving positions map θ, composed
+letter by letter by ``letter_theta`` (May, *Simplicial Objects in
+Algebraic Topology*, §1).
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ class OutOfRangeError(Exception):
         self.degree = degree
         kind, index = generator
         super().__init__(f"{kind}{index} is not defined on degree {degree}")
+
+
+class TruncationOverflowError(Exception):
+    """A computation left the representable range of a truncated model."""
 
 
 @dataclass(frozen=True)
@@ -142,27 +154,54 @@ class NormalForm:
 ZERO_FORM = NormalForm((), (), True)
 
 
-def _walk(factors: tuple[tuple[str, int], ...], source_degree: int) -> int | None:
-    """Track intermediate degrees right to left.
+def letter_theta(theta: tuple, generator) -> tuple:
+    """The positions map after one more letter: d_r drops position r, s_r repeats it.
+
+    ``theta`` lists, for each vertex of the image, the source position it
+    comes from; ``tuple(range(m + 1))`` is the identity at degree m.
+    """
+    kind, r = generator
+    if kind == DEGENERACY:
+        return theta[: r + 1] + theta[r:]
+    return theta[:r] + theta[r + 1 :]
+
+
+def walk(
+    factors: tuple[tuple[str, int], ...], m: int, top: int | None = None
+) -> int | None:
+    """Track intermediate degrees right to left: the one letter walk.
 
     Returns the final degree, or None when the word annihilates the degree
-    (some intermediate target is negative, so the action factors through the
-    zero space).  Raises OutOfRangeError when a generator index exceeds its
-    intermediate source degree.
+    (some intermediate target is negative, so the action factors through
+    the zero space and the remaining letters are absorbed unchecked).
+    Raises OutOfRangeError when a generator index exceeds its intermediate
+    source degree.  With ``top``, the walk is on a model truncated at that
+    degree and raises TruncationOverflowError at the first degeneracy that
+    would pass it; each letter is range-checked first.
     """
-    m = source_degree
+    if m < 0:
+        return None
+    if top is None:
+        top = m + len(factors)  # no degeneracy can reach it
     for kind, index in reversed(factors):
-        if m < 0:
-            return None
         if index > m:
             raise OutOfRangeError((kind, index), m)
-        m = m + 1 if kind == DEGENERACY else m - 1
-    return m if m >= 0 else None
+        if kind == FACE:
+            if m == 0:
+                return None  # d0 out of degree 0 lands in the zero space
+            m -= 1
+        elif m >= top:
+            raise TruncationOverflowError(
+                f"s{index} pushes degree {m} past max_degree {top}"
+            )
+        else:
+            m += 1
+    return m
 
 
 def is_defined(word: Word, source_degree: int) -> bool:
     try:
-        _walk(word.factors, source_degree)
+        walk(word.factors, source_degree)
     except OutOfRangeError:
         return False
     return True
@@ -219,7 +258,7 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
 
 @lru_cache(maxsize=None)
 def _normalize(factors: tuple[tuple[str, int], ...], source_degree: int) -> NormalForm:
-    if _walk(factors, source_degree) is None:
+    if walk(factors, source_degree) is None:
         return ZERO_FORM
     return _formal_normal_form(factors)
 
@@ -230,16 +269,3 @@ def normalize(word: Word, source_degree: int) -> NormalForm:
     Raises OutOfRangeError when the word is not defined there.
     """
     return _normalize(word.factors, source_degree)
-
-
-def normalize_sum(words, source_degree: int) -> frozenset[NormalForm]:
-    """Mod-2 reduction of a formal sum of words at one source degree.
-
-    Zero forms are dropped; equal normal forms cancel in pairs.
-    """
-    acc: set[NormalForm] = set()
-    for w in words:
-        nf = normalize(w, source_degree)
-        if not nf.is_zero:
-            acc ^= {nf}
-    return frozenset(acc)

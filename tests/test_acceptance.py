@@ -46,7 +46,6 @@ from simpdelta.transforms import (
     face0_left,
     face0_right,
     higher_shuffle,
-    suspend,
 )
 from simpdelta.words import DEGENERACY, FACE, Word, face, is_defined, normalize
 
@@ -261,7 +260,7 @@ def test_criterion_7_closed_formula_matches_em_route() -> None:
         for k in range(q + 1):
             suspended = higher_shuffle(0)
             for _ in range(k):
-                suspended = suspend(suspended)
+                suspended = suspended.suspend()
             left = evaluate_em(higher_shuffle(k), zz, sm, sm)
             right = evaluate_em(suspended, zz, sm, sm)
             assert left == right, (q, k)

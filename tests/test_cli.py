@@ -60,10 +60,11 @@ def test_verify_unknown_family(capsys):
     ("verify", "simp", "--threads", "2"),
     ("verify", "simp", "--seed", "1"),
     ("delta", "--q", "2", "--i", "2", "--threads", "2"),
+    ("delta", "--q", "2", "--i", "2", "--max-degree", "5"),
     ("homology", "--n", "2", "--max-degree", "3", "--seed", "1"),
     ("homology", "--n", "2", "--max-degree", "3", "--threads", "2"),
-], ids=["verify-threads", "verify-seed", "delta-threads", "homology-seed",
-        "homology-threads"])
+], ids=["verify-threads", "verify-seed", "delta-threads", "delta-max-degree",
+        "homology-seed", "homology-threads"])
 def test_removed_options_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -97,9 +98,6 @@ def test_delta_text_format(capsys):
 def test_delta_range_errors(capsys):
     code, _, err = run(capsys, "delta", "--q", "2", "--i", "3")
     assert code == 2
-    code, _, err = run(capsys, "delta", "--q", "2", "--i", "2",
-                       "--max-degree", "4")
-    assert code == 2
     code, _, err = run(capsys, "delta", "--q", "2", "--i", "2", "--poly", "1")
     assert code == 2
 
@@ -112,6 +110,21 @@ def test_homology_golden(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "complex,degree,dim,rank_d,betti,agree"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_homology_poly_is_only_for_the_algebra(capsys):
+    for model in ("delta", "boundary", "sphere"):
+        code, out, err = run(capsys, "homology", "--model", model, "--n", "2",
+                             "--max-degree", "3", "--poly", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --model {model} takes no --poly\n"
+    # the algebra's bound defaults to 2 and is still range-checked
+    base = ("homology", "--model", "sphere-algebra", "--n", "2", "--max-degree", "4")
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert out == run(capsys, *base, "--poly", "2")[1]
+    assert run(capsys, *base, "--poly", "1")[0] == 2
 
 
 def test_homology_json(capsys):

@@ -1,5 +1,6 @@
 """Bit-packed GF(2) linear algebra."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
@@ -28,6 +29,15 @@ def test_singular_matrix():
     for v in ker:
         assert m.apply(v) == 0
     assert m.solve(0b010) is None
+
+
+def test_column_past_the_rows_is_refused():
+    # bits past the rows are a layout error, not more rows to eliminate
+    with pytest.raises(ValueError, match="column 0 has a bit at or above row 2"):
+        F2Matrix(2, [0b111, 0b1000])
+    with pytest.raises(ValueError, match="column 1 has a bit at or above row 2"):
+        F2Matrix(2, [0b11, 0b100])
+    assert F2Matrix(0, [0, 0]).rank() == 0
 
 
 def test_bits_roundtrip():

@@ -193,11 +193,20 @@ def _outcome(act):
      (TruncationOverflowError, "s0 pushes degree 2 past max_degree 2")),
     (delta_model(1, 4), "s3 s0", [(0, 1)], 1,
      (OutOfRangeError, "s3 is not defined on degree 2", (DEGENERACY, 3), 2)),
+    # one walk, letter by letter: the first failing letter decides, and
+    # within a letter the range check comes before the truncation check
+    (delta_model(1, 2), "d5 s0", [(0, 0, 1)], 2,
+     (TruncationOverflowError, "s0 pushes degree 2 past max_degree 2")),
+    (delta_model(1, 2), "s0 d5", [(0, 0, 1)], 2,
+     (OutOfRangeError, "d5 is not defined on degree 2", (FACE, 5), 2)),
+    (delta_model(1, 2), "s5", [(0, 0, 1)], 2,
+     (OutOfRangeError, "s5 is not defined on degree 2", (DEGENERACY, 5), 2)),
     # a face can reverse the order of two factors, so the image is re-sorted
     (algebra_model(2, 5, 2), "d1", [((0, 0, 1, 2, 2), (0, 1, 1, 1, 2))], 4,
      F2Element(3, frozenset({((0, 1, 1, 2), (0, 1, 2, 2))}))),
 ], ids=["cancel", "empty-overflow", "absorbed", "face-at-degree-0",
         "last-face-at-degree-0", "identity", "roomy", "tight", "out-of-range",
+        "overflow-first", "out-of-range-first", "range-before-overflow",
         "algebra-resort"])
 def test_word_action_pinned_cases(model, word, labels, degree, want):
     x = model.element(labels, degree)
@@ -235,6 +244,50 @@ def test_word_action_matches_generator_oracle(data):
     fresh = _all_models()[index]
     for plan in ("cold", "cached"):
         assert _outcome(lambda: fresh.apply_word(w, x)) == want, plan
+
+
+@pytest.mark.parametrize("word", ["d5 s0", "s0 d5"])
+def test_failing_plan_raises_a_new_exception_each_call(word):
+    model = delta_model(1, 2)
+    x = model.element([(0, 0, 1)], 2)
+    caught = []
+    for _ in range(2):
+        with pytest.raises((OutOfRangeError, TruncationOverflowError)) as info:
+            model.apply_word(parse_word(word), x)
+        caught.append(info.value)
+    first, second = caught
+    assert first is not second
+    assert type(first) is type(second)
+    assert str(first) == str(second)
+    assert vars(first) == vars(second)  # generator and degree, where present
+    # the plan keeps how to fail, not an exception and its frames
+    assert not any(
+        isinstance(part, BaseException)
+        for plan in model._plans.values()
+        for part in plan
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((FACE, DEGENERACY)), st.integers(0, 6)),
+        max_size=5,
+    ),
+    st.integers(0, 4),
+)
+def test_word_action_raises_exactly_when_undefined(letters, m):
+    """With headroom for every letter, only definedness can fail."""
+    w = Word(tuple(letters))
+    model = delta_model(1, m + len(letters))
+    x = model.element(list(model.basis(m)[:2]), m)
+    try:
+        model.apply_word(w, x)
+    except OutOfRangeError:
+        raised = True
+    else:
+        raised = False
+    assert raised == (not is_defined(w, m))
 
 
 def test_boundary_operator():

@@ -89,7 +89,7 @@ def test_delta2_frozen_value():
         "(0-0-1-1-2)*(0-1-1-2-2)",
         "(0-0-1-2-2)*(0-1-1-1-2)",
     ]
-    assert is_cycle(am, out, "normalized")
+    assert is_cycle(am, out)
 
 
 def test_delta1_remark():
@@ -140,7 +140,7 @@ def test_representative_independence():
     z = am.fundamental_class()
     zz = am.multiply(z, z)
     # z + z^2 is again a normalized cycle and z^2 is a normalized boundary
-    assert is_cycle(am, z + zz, "normalized")
+    assert is_cycle(am, z + zz)
     assert same_class(am, zz, am.zero(2))
     assert same_class(am, delta_i(am, z, 2), delta_i(am, z + zz, 2))
 
@@ -171,10 +171,3 @@ def test_delta_report_for_the_noncycle_case():
     assert rep["is_cycle"] is False
     assert rep["homology_class_nonzero"] is None
     assert "warning" in rep
-
-
-def test_delta_report_without_homology():
-    am = algebra_model(2, 5, 2)
-    rep = delta_report(am, am.fundamental_class(), 2, check_homology=False)
-    assert "homology_class_nonzero" not in rep
-    assert rep["is_cycle"] is True

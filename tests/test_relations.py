@@ -13,7 +13,7 @@ from simpdelta.relations import (
     check_relation,
     relation_names,
 )
-from simpdelta.transforms import diagonal_identity, dwyer_defect, suspend, word_pair
+from simpdelta.transforms import diagonal_identity, dwyer_defect, word_pair
 from simpdelta.words import Word, face
 
 WINDOW6_CASES = {
@@ -95,7 +95,7 @@ def test_recursion_k1_defect_is_pinned():
     window; the catalog relation asserts the defect rather than hiding it.
     """
     lhs = dwyer_defect(1)
-    rhs = suspend(dwyer_defect(0)) + dwyer_defect(0) * word_pair(face(0), Word())
+    rhs = dwyer_defect(0).suspend() + dwyer_defect(0) * word_pair(face(0), Word())
     defect = lhs.reduced(1, 0) ^ rhs.reduced(1, 0)
     assert {(str(a), str(b)) for a, b in defect} == {("d1", "id")}
     for total in range(7):

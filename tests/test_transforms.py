@@ -23,8 +23,6 @@ from simpdelta.transforms import (
     higher_shuffle,
     identity_transform,
     shuffle_map,
-    suspend,
-    twist,
     word_pair,
     zero_transform,
 )
@@ -104,21 +102,21 @@ def test_symmetrized_defect_base():
 
 def test_twist_symmetry_of_shuffle():
     # over F2 the shuffle product is symmetric
-    assert em_equal(twist(shuffle_map()), shuffle_map(), 6)
+    assert em_equal(shuffle_map().twist(), shuffle_map(), 6)
 
 
 def test_twist_is_an_involution():
     for f in (shuffle_map(), higher_shuffle(1), dwyer_defect(2)):
-        assert em_equal(twist(twist(f)), f, 5)
+        assert em_equal(f.twist().twist(), f, 5)
 
 
 def test_suspension_shifts_words_and_grid():
-    s = suspend(degen0_right())
+    s = degen0_right().suspend()
     assert s.terms(1, 1) == frozenset({(Word(), parse_word("s1"))})
     assert s.terms(1, 0) == frozenset()
     assert s.terms(0, 1) == frozenset()
     assert s.target(1, 1) == (1, 2)
-    assert suspend(higher_shuffle(0)).target(2, 2) == (3, 3)
+    assert higher_shuffle(0).suspend().target(2, 2) == (3, 3)
 
 
 def test_word_pair_reduction_drops_annihilated_terms():
@@ -126,6 +124,15 @@ def test_word_pair_reduction_drops_annihilated_terms():
     assert wp.index_fn.rows == ((1, 0, -2), (0, 1, 0))
     assert wp.terms(1, 2)
     assert wp.reduced(1, 2) == frozenset()
+
+
+def test_reduction_cancels_equal_normal_forms():
+    # d1 s0 = d0 s0 = id: two equal normal forms cancel mod 2, a third survives
+    pair = word_pair(parse_word("d1 s0"), Word()) + identity_transform()
+    assert len(pair.terms(1, 1)) == 2
+    assert pair.reduced(1, 1) == frozenset()
+    triple = pair + word_pair(parse_word("d0 s0"), Word())
+    assert reduced_strs(triple, 1, 1) == [("id", "id")]
 
 
 def test_composition_index_arithmetic():

@@ -13,13 +13,14 @@ from simpdelta.words import (
     ZERO_FORM,
     NormalForm,
     OutOfRangeError,
+    TruncationOverflowError,
     Word,
     degeneracy,
     face,
     is_defined,
     normalize,
-    normalize_sum,
     parse_word,
+    walk,
 )
 
 
@@ -123,14 +124,15 @@ def test_normal_form_word_shape():
         ZERO_FORM.word()
 
 
-def test_normalize_sum_cancellation():
-    # d1 s0 = id at degree 1, so the pair cancels; the zero form is dropped
-    s = normalize_sum(
-        [parse_word("d1 s0"), Word(), parse_word("d0 d0"), parse_word("d0 d0")], 1
-    )
-    assert s == frozenset()
-    s = normalize_sum([parse_word("d0 d0"), degeneracy(0)], 1)
-    assert {str(nf) for nf in s} == {"s0"}
+def test_walk_with_a_top_degree():
+    w = parse_word("d5 s0")
+    with pytest.raises(OutOfRangeError):
+        walk(w.factors, 2)
+    with pytest.raises(TruncationOverflowError, match="s0 pushes degree 2 past max_degree 2"):
+        walk(w.factors, 2, 2)
+    assert walk(parse_word("s1 s0").factors, 1, 3) == 3
+    # a face out of degree 0 absorbs the rest, the top included
+    assert walk(parse_word("s0 s0 s0 d0").factors, 0, 0) is None
 
 
 @given(words_st, st.integers(0, 8))
