@@ -193,8 +193,8 @@ _MODULE_MODELS = {
 def _build_model(args):
     if args.n < 0:
         raise _ConfigError("--n must be >= 0")
-    if args.max_degree < 0:
-        raise _ConfigError("--max-degree must be >= 0")
+    if args.max_degree < 1:  # the table covers degrees 0..max_degree-1
+        raise _ConfigError("--max-degree must be >= 1")
     if args.model != "sphere-algebra":
         if args.poly is not None:
             raise _ConfigError(f"--model {args.model} takes no --poly")

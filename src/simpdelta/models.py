@@ -381,37 +381,36 @@ def evaluate_em(
     """Apply a bidegree family to a tensor element, term by term.
 
     Terms whose target bidegree has a negative component contribute zero.
-    Each word's image of each label is computed once per call, in the
-    order the terms and pairs first ask for it.
+    The terms come from the transform's word table at the source
+    bidegree (``EMTransform.word_table``), so words are looked up by
+    integer id, never hashed.  Each side keeps one row per distinct
+    label: its one-label element and its images by word id, each image
+    computed once per call, in the order the terms and pairs first ask
+    for it; a right image is not computed where the left one is zero.
     """
     i, j = element.left_degree, element.right_degree
     k, l = transform.target(i, j)
     acc: set = set()
     if k >= 0 and l >= 0 and element.pairs:
-        pairs = [
-            (a, b, left_model.element([a], i), right_model.element([b], j))
-            for a, b in element.pairs
-        ]
-        lcache: dict = {}  # word -> {label: image label, or None for zero}
-        rcache: dict = {}
-        for wl, wr in transform.terms(i, j):
-            limages = lcache.get(wl)
-            if limages is None:
-                limages = lcache[wl] = {}
-            rimages = rcache.get(wr)
-            if rimages is None:
-                rimages = rcache[wr] = {}
-            for a, b, xa, xb in pairs:
-                la = limages.get(a, _MISSING)
+        lwords, rwords, lids, rids = transform.word_table(i, j)
+        # label -> (one-label element, [image label, None for zero, by word id])
+        lrows = {a: (left_model.element([a], i), [_MISSING] * len(lwords))
+                 for a in {a for a, _ in element.pairs}}
+        rrows = {b: (right_model.element([b], j), [_MISSING] * len(rwords))
+                 for b in {b for _, b in element.pairs}}
+        pairs = [(lrows[a], rrows[b]) for a, b in element.pairs]
+        for li, ri in zip(lids, rids):
+            for (xa, limages), (xb, rimages) in pairs:
+                la = limages[li]
                 if la is _MISSING:
-                    out = left_model.apply_word(wl, xa)
-                    la = limages[a] = next(iter(out.support), None)
+                    out = left_model.apply_word(lwords[li], xa)
+                    la = limages[li] = next(iter(out.support), None)
                 if la is None:
                     continue
-                lb = rimages.get(b, _MISSING)
+                lb = rimages[ri]
                 if lb is _MISSING:
-                    out = right_model.apply_word(wr, xb)
-                    lb = rimages[b] = next(iter(out.support), None)
+                    out = right_model.apply_word(rwords[ri], xb)
+                    lb = rimages[ri] = next(iter(out.support), None)
                 if lb is None:
                     continue
                 acc ^= {(la, lb)}

@@ -127,6 +127,17 @@ def test_homology_poly_is_only_for_the_algebra(capsys):
     assert run(capsys, *base, "--poly", "1")[0] == 2
 
 
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+def test_homology_needs_a_degree(capsys, max_degree):
+    # the table covers degrees 0..max_degree-1, so it must not be empty
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, "homology", "--n", "1", "--max-degree",
+                             max_degree, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-degree must be >= 1\n"
+
+
 def test_homology_json(capsys):
     code, out, _ = run(capsys, "homology", "--model", "boundary", "--n", "2",
                        "--max-degree", "3", "--format", "json")

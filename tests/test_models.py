@@ -16,6 +16,7 @@ from label_oracle import letter_label
 from simpdelta.models import (
     DegreeMismatchError,
     F2Element,
+    Model,
     OutOfRangeError,
     TensorElement,
     TruncationOverflowError,
@@ -379,35 +380,104 @@ def _oracle_evaluate_em(transform, element, left_model, right_model):
     return TensorElement(k, l, frozenset(acc))
 
 
-@pytest.mark.parametrize("transform", [
+EM_TRANSFORMS = pytest.mark.parametrize("transform", [
     shuffle_map(), higher_shuffle(1), higher_shuffle(2), _chain_map_transform(),
 ], ids=["D", "D1", "D2", "chain-map"])
-@pytest.mark.parametrize("left, right", [
+# the delta pair shares labels between its two models
+EM_MODELS = pytest.mark.parametrize("left, right", [
     (delta_model(1, 3), delta_model(2, 3)),
     (sphere_model(1, 4), sphere_model(2, 4)),
     (algebra_model(1, 4, 2), algebra_model(2, 4, 3)),
 ], ids=["delta", "sphere", "algebra"])
-def test_evaluate_em_matches_term_oracle(left, right, transform):
-    seen = set()
+
+
+def _em_inputs(left, right):
+    """Every bidegree's empty tensor, then pairs sharing left and right labels."""
     for i in range(left.max_degree + 1):
         for j in range(right.max_degree + 1):
-            # the empty tensor, then pairs sharing left and right labels
             xs = [left.element(list(left.basis(i)[:n]), i) for n in (0, 2, 3)]
             ys = [right.element(list(right.basis(j)[:n]), j) for n in (0, 2)]
             for x in xs:
                 for y in ys:
-                    t = tensor(x, y)
-                    want = _outcome(lambda: _oracle_evaluate_em(transform, t, left, right))
-                    assert _outcome(lambda: evaluate_em(transform, t, left, right)) == want
-                    if isinstance(want, TensorElement):
-                        if min(want.left_degree, want.right_degree) < 0:
-                            seen.add("negative")
-                    else:
-                        seen.add(want[0].__name__)
+                    yield tensor(x, y)
+
+
+@EM_TRANSFORMS
+@EM_MODELS
+def test_evaluate_em_matches_term_oracle(left, right, transform):
+    seen = set()
+    for t in _em_inputs(left, right):
+        want = _outcome(lambda: _oracle_evaluate_em(transform, t, left, right))
+        assert _outcome(lambda: evaluate_em(transform, t, left, right)) == want
+        if isinstance(want, TensorElement):
+            if min(want.left_degree, want.right_degree) < 0:
+                seen.add("negative")
+        else:
+            seen.add(want[0].__name__)
     # every case reaches a truncating input, and one with a negative target
     # bidegree where the transform has one
     assert "TruncationOverflowError" in seen
     assert ("negative" in seen) == (min(transform.target(0, 0)) < 0)
+
+
+_MISSING = object()
+
+
+def _per_word_evaluate_em(transform, element, left_model, right_model):
+    """evaluate_em before word tables: one image dict per word, keyed by Word."""
+    i, j = element.left_degree, element.right_degree
+    k, l = transform.target(i, j)
+    acc: set = set()
+    if k >= 0 and l >= 0 and element.pairs:
+        pairs = [
+            (a, b, left_model.element([a], i), right_model.element([b], j))
+            for a, b in element.pairs
+        ]
+        lcache: dict = {}  # word -> {label: image label, or None for zero}
+        rcache: dict = {}
+        for wl, wr in transform.terms(i, j):
+            limages = lcache.get(wl)
+            if limages is None:
+                limages = lcache[wl] = {}
+            rimages = rcache.get(wr)
+            if rimages is None:
+                rimages = rcache[wr] = {}
+            for a, b, xa, xb in pairs:
+                la = limages.get(a, _MISSING)
+                if la is _MISSING:
+                    out = left_model.apply_word(wl, xa)
+                    la = limages[a] = next(iter(out.support), None)
+                if la is None:
+                    continue
+                lb = rimages.get(b, _MISSING)
+                if lb is _MISSING:
+                    out = right_model.apply_word(wr, xb)
+                    lb = rimages[b] = next(iter(out.support), None)
+                if lb is None:
+                    continue
+                acc ^= {(la, lb)}
+    return TensorElement(k, l, frozenset(acc))
+
+
+@EM_TRANSFORMS
+@EM_MODELS
+def test_evaluate_em_makes_the_per_word_calls(left, right, transform, monkeypatch):
+    # the word table changes how images are looked up, not which are made
+    apply_word = Model.apply_word
+    calls = []
+
+    def record(model, w, x):
+        calls.append((model, w.factors, x.degree, x.support))
+        return apply_word(model, w, x)
+
+    monkeypatch.setattr(Model, "apply_word", record)
+    for t in _em_inputs(left, right):
+        runs = []
+        for evaluate in (_per_word_evaluate_em, evaluate_em):
+            calls.clear()
+            outcome = _outcome(lambda: evaluate(transform, t, left, right))
+            runs.append((outcome, list(calls)))
+        assert runs[1] == runs[0]
 
 
 def test_model_dump_golden():
