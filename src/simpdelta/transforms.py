@@ -311,21 +311,27 @@ def shuffle_map() -> EMTransform:
     return EMTransform(_affine(1, 1, 0, 1, 1, 0), rule)
 
 
-@lru_cache(maxsize=None)
+_REFINEMENTS: list[EMTransform] = []  # D^0, D^1, ..., each built once
+
+
 def higher_shuffle(k: int) -> EMTransform:
     """The k-th degree-lowering refinement D^k of the shuffle map.
 
     D^0 is the suspended shuffle map composed with id (x) s_0; for k >= 1
     the recursion adds the suspension of the previous refinement to its
-    composite with d_0 (x) id (k even) or id (x) d_0 (k odd).
+    composite with d_0 (x) id (k even) or id (x) d_0 (k odd).  The levels
+    are built bottom-up, so a large k costs no deep recursion.
     """
     if k < 0:
         raise ValueError("the refinement order must be nonnegative")
-    if k == 0:
-        return shuffle_map().suspend() * degen0_right()
-    prev = higher_shuffle(k - 1)
-    tail = prev * (face0_left() if k % 2 == 0 else face0_right())
-    return prev.suspend() + tail
+    levels = _REFINEMENTS
+    if not levels:
+        levels.append(shuffle_map().suspend() * degen0_right())
+    while len(levels) <= k:
+        prev = levels[-1]
+        tail = prev * (face0_left() if len(levels) % 2 == 0 else face0_right())
+        levels.append(prev.suspend() + tail)
+    return levels[k]
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,14 @@ the model.  Normal forms and the model action both read it.  A word acts
 on vertex labels through one order-preserving positions map θ, composed
 letter by letter by ``letter_theta`` (May, *Simplicial Objects in
 Algebraic Topology*, §1).
+
+Words are hash-consed (Filliâtre–Conchon, *Type-safe modular
+hash-consing*, 2006): there is one live ``Word`` per distinct factors
+tuple, whichever constructor builds it, and ``copy``, ``deepcopy`` and
+``pickle`` hand back that same object.  The generator check loops over
+the letters only when a word has a letter that never passed it before.
+The normal forms of distinct words are shared the same way, one
+``NormalForm`` per distinct form.
 """
 
 from __future__ import annotations
@@ -48,16 +56,47 @@ class TruncationOverflowError(Exception):
     """A computation left the representable range of a truncated model."""
 
 
-@dataclass(frozen=True)
-class Word:
-    """An ordered tuple of generators; ``factors[-1]`` applies first."""
+# The one live Word per factors tuple, and every letter that passed the
+# generator check.  Like the normalize caches below, they are never cleared.
+_WORDS: dict[tuple[tuple[str, int], ...], Word] = {}
+_LETTERS: set[tuple[str, int]] = set()
 
-    factors: tuple[tuple[str, int], ...] = ()
+
+@dataclass(frozen=True, slots=True, init=False)
+class Word:
+    """An ordered tuple of generators; ``factors[-1]`` applies first.
+
+    Words are hash-consed: ``Word(factors)`` returns the one live word with
+    those factors, so equal words are one object and compare by identity
+    first.  Every call still runs ``__post_init__``, whose letter check
+    loops only when some letter has not passed it before.  A word joins
+    the table only once it is valid, and an existing word is never
+    written to.  Copying or unpickling a word returns the shared object.
+    """
+
+    factors: tuple[tuple[str, int], ...]
+
+    def __new__(cls, factors: tuple[tuple[str, int], ...] = ()):
+        word = _WORDS.get(factors)
+        if word is None:
+            word = object.__new__(cls)
+            object.__setattr__(word, "factors", factors)
+        return word
+
+    def __init__(self, factors: tuple[tuple[str, int], ...] = ()):
+        self.__post_init__()
 
     def __post_init__(self):
-        for kind, index in self.factors:
-            if kind not in (FACE, DEGENERACY) or index < 0:
-                raise ValueError(f"bad generator {(kind, index)!r}")
+        factors = self.factors
+        if not _LETTERS.issuperset(factors):
+            for kind, index in factors:
+                if kind not in (FACE, DEGENERACY) or index < 0:
+                    raise ValueError(f"bad generator {(kind, index)!r}")
+            _LETTERS.update(factors)
+        _WORDS.setdefault(factors, self)
+
+    def __reduce__(self):
+        return (Word, (self.factors,))
 
     def __mul__(self, other: "Word") -> "Word":
         """Composition: ``self`` applied after ``other``."""
@@ -110,7 +149,7 @@ def parse_word(text: str) -> Word:
     factors = []
     for token in text.split():
         kind, digits = token[:1], token[1:]
-        if kind not in (FACE, DEGENERACY) or not digits.isdigit():
+        if kind not in (FACE, DEGENERACY) or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad word token {token!r}")
         factors.append((kind, int(digits)))
     if not factors:
@@ -118,7 +157,7 @@ def parse_word(text: str) -> Word:
     return Word(tuple(factors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """Epi-mono normal form, or the distinguished zero form.
 
@@ -152,6 +191,9 @@ class NormalForm:
 
 
 ZERO_FORM = NormalForm((), (), True)
+
+# The one NormalForm per (degeneracies, faces) that _formal_normal_form returns.
+_FORMS: dict[tuple[tuple[int, ...], tuple[int, ...]], NormalForm] = {}
 
 
 def letter_theta(theta: tuple, generator) -> tuple:
@@ -253,7 +295,11 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
                 out.append(r)
                 out.extend(faces[k:])
                 faces = out
-    return NormalForm(tuple(degens), tuple(faces))
+    key = (tuple(degens), tuple(faces))
+    form = _FORMS.get(key)
+    if form is None:
+        form = _FORMS[key] = NormalForm(*key)
+    return form
 
 
 @lru_cache(maxsize=None)

@@ -162,6 +162,17 @@ def test_dump_transform(capsys):
     assert json.loads(out)["target"] == [3, 3]
 
 
+@pytest.mark.parametrize("name", ["refinement", "defect"])
+def test_dump_transform_at_a_large_k(capsys, name):
+    # D^3000 is built level by level, not by 3000 nested calls
+    code, out, _ = run(capsys, "dump-transform", "--name", name,
+                       "--k", "3000", "--i", "0", "--j", "0")
+    assert code == 0
+    assert json.loads(out) == {
+        "bidegree": [0, 0], "target": [-3000, -3000], "terms": [],
+    }
+
+
 def test_dump_transform_argument_errors(capsys):
     code, _, err = run(capsys, "dump-transform", "--name", "refinement",
                        "--i", "1", "--j", "1")

@@ -5,9 +5,13 @@ standard simplex, written independently of the package internals, so the
 rewriting engine is tested against the definition rather than itself.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from simpdelta import words
 from simpdelta.words import (
     IDENTITY,
     ZERO_FORM,
@@ -16,6 +20,7 @@ from simpdelta.words import (
     TruncationOverflowError,
     Word,
     degeneracy,
+    degeneracy_word,
     face,
     is_defined,
     normalize,
@@ -59,12 +64,11 @@ def oracle_apply(word: Word, simplex: tuple):
     return cur
 
 
-words_st = st.builds(
-    Word,
-    st.lists(
-        st.tuples(st.sampled_from(["d", "s"]), st.integers(0, 8)), max_size=10
-    ).map(tuple),
-)
+factors_st = st.lists(
+    st.tuples(st.sampled_from(["d", "s"]), st.integers(0, 8)), max_size=10
+).map(tuple)
+
+words_st = st.builds(Word, factors_st)
 
 simplices_st = st.lists(st.integers(0, 4), min_size=1, max_size=7).map(
     lambda vs: tuple(sorted(vs))
@@ -114,6 +118,97 @@ def test_parse_roundtrip():
         parse_word("x3")
     with pytest.raises(ValueError):
         parse_word("d-1")
+    # only ASCII digits: "d٣" would print back as "d3", and int() rejects "³"
+    for text in ("d\u0663", "s\u00b3"):
+        with pytest.raises(ValueError, match="bad word token"):
+            parse_word(text)
+
+
+def _copy_of(factors):
+    """An equal factors tuple made of new tuple objects."""
+    return tuple([(kind, index) for kind, index in factors])
+
+
+@given(factors_st, factors_st)
+def test_equal_words_are_one_object(f, g):
+    assert (Word(f) is Word(g)) == (f == g)
+    assert Word(_copy_of(f)) is Word(f)
+
+
+def test_every_constructor_returns_the_shared_word():
+    w = parse_word("s2 s0 d1")
+    assert Word(w.factors) is w
+    assert Word(_copy_of(w.factors)) is w
+    assert degeneracy(2) * degeneracy(0) * face(1) is w
+    assert parse_word("s1 d0").suspend() is parse_word("s2 d1")
+    assert degeneracy_word((0, 2)) is parse_word("s2 s0")
+    assert normalize(w, 3).word() is w
+    assert face(0) is parse_word("d0") and degeneracy(0) is parse_word("s0")
+    assert Word() is IDENTITY and Word(()) is IDENTITY
+    assert parse_word("id") is IDENTITY
+    assert face(1) * IDENTITY is face(1)
+
+
+def test_an_existing_word_is_never_written():
+    w = parse_word("s3 s1 d0")
+    factors = w.factors
+    assert Word(_copy_of(factors)) is w
+    assert w.factors is factors
+    with pytest.raises(AttributeError):
+        w.factors = ()
+
+
+def test_copies_and_pickles_are_the_shared_word():
+    w = parse_word("s3 s1 d0 d2")
+    assert copy.copy(w) is w
+    assert copy.deepcopy(w) is w
+    assert copy.deepcopy([w, (w, 1)])[1][0] is w
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, protocol)) is w
+
+
+@pytest.mark.parametrize("factors", [
+    (("x", 0),),
+    (("d", 0), ("d", -1)),
+    (("s", 4), ("q", 2), ("d", 1)),
+], ids=["bad-kind", "negative-index", "bad-middle-letter"])
+def test_a_rejected_word_is_never_registered(factors):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            Word(factors)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert messages[0].startswith("bad generator ")
+    assert factors not in words._WORDS
+    bad = {letter for letter in factors if letter[0] not in ("d", "s") or letter[1] < 0}
+    assert not bad & words._LETTERS
+
+
+def test_post_init_runs_once_per_call(monkeypatch):
+    calls = []
+    original = Word.__post_init__
+
+    def counted(word):
+        calls.append(word)
+        original(word)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    fresh = (("s", 97), ("d", 96), ("s", 95))  # in no other test
+    assert fresh not in words._WORDS
+    w = Word(fresh)
+    assert calls == [w]
+    assert Word(_copy_of(fresh)) is w
+    assert parse_word("s97 d96 s95") is w
+    assert calls == [w, w, w]
+    w * IDENTITY
+    assert len(calls) == 4
+
+
+def test_equal_normal_forms_are_one_object():
+    assert normalize(parse_word("d1 s0"), 2) is normalize(IDENTITY, 2)
+    assert normalize(parse_word("d3 s0"), 3) is normalize(parse_word("s0 d2"), 3)
+    assert normalize(parse_word("d0 d0"), 1) is ZERO_FORM
 
 
 def test_normal_form_word_shape():
