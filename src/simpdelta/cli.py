@@ -2,7 +2,8 @@
 
 Every run is deterministic: identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
-configuration or an output file that cannot be written.
+configuration, a model over the size budget, or an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -43,6 +44,24 @@ from .transforms import (
 
 class _ConfigError(Exception):
     pass
+
+
+# The largest top-degree basis that `delta` and `homology` will build.  It
+# admits delta --q 5 --i 5 (107,416 monomials in degree 11: seconds, some
+# hundred MB) and refuses --q 6 --i 6 (1,474,903), which would run for
+# minutes before its first elimination.
+BASIS_BUDGET = 200_000
+
+
+def _check_size(model):
+    """Refuse a model whose top-degree basis is over BASIS_BUDGET, from the
+    closed-form dimension, before any basis is built."""
+    size = model.dimension(model.max_degree)
+    if size > BASIS_BUDGET:
+        raise _ConfigError(
+            f"{model.name} would have {size:,} basis elements in degree "
+            f"{model.max_degree}, over the budget of {BASIS_BUDGET:,}"
+        )
 
 
 def _emit(text: str, output: str | None):
@@ -149,6 +168,7 @@ def _cmd_delta(args) -> int:
     if args.perturbations < 0:
         raise _ConfigError("--perturbations must be >= 0")
     model = algebra_model(q, max_degree, args.poly)
+    _check_size(model)
     report = delta_report(
         model,
         model.fundamental_class(),
@@ -198,11 +218,14 @@ def _build_model(args):
     if args.model != "sphere-algebra":
         if args.poly is not None:
             raise _ConfigError(f"--model {args.model} takes no --poly")
-        return _MODULE_MODELS[args.model](args.n, args.max_degree)
-    poly = 2 if args.poly is None else args.poly
-    if poly < 2:
-        raise _ConfigError("--poly must be >= 2")
-    return algebra_model(args.n, args.max_degree, poly)
+        model = _MODULE_MODELS[args.model](args.n, args.max_degree)
+    else:
+        poly = 2 if args.poly is None else args.poly
+        if poly < 2:
+            raise _ConfigError("--poly must be >= 2")
+        model = algebra_model(args.n, args.max_degree, poly)
+    _check_size(model)
+    return model
 
 
 def _cmd_homology(args) -> int:

@@ -7,8 +7,9 @@ normalized one, the subcomplex whose degree q part is the intersection
 of the kernels of d_1 ... d_q.  On that subcomplex the associated
 differential is d_0, so the normalized differential is read off the
 associated complex.  They compute the same homology, which the tests and
-the CLI verify degreewise.  All linear algebra is exact bit-packed
-elimination from `gf2`.
+the CLI verify degreewise.  Both read the faces from the model's face
+table over basis indices (``Model.face_rows``), not from labels.  All
+linear algebra is exact bit-packed elimination from `gf2`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
-from .models import F2Element, Model, theta_map
-from .words import FACE, face, letter_theta
+from .models import F2Element, Model
+from .words import face
 
 
 class NotACycleError(Exception):
@@ -130,25 +131,18 @@ def _build_associated(model: Model, top: int) -> ChainComplexF2:
 def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[int]:
     """Faces d_first_face .. d_q of each degree-q label, one bitmask per label.
 
-    Face d_r is placed over the degree-(q-1) basis shifted by
-    ``(r - first_face) * stride`` bits: stride 0 sums the faces mod 2
-    (the associated differential), stride dim(q-1) stacks them (the
-    columns of a face-kernel matrix).
+    Read off ``model.face_rows(q)``.  Face d_r is placed over the
+    degree-(q-1) basis shifted by ``(r - first_face) * stride`` bits:
+    stride 0 sums the faces mod 2 (the associated differential), stride
+    dim(q-1) stacks them (the columns of a face-kernel matrix).
     """
-    index = {lbl: c for c, lbl in enumerate(model.basis(q - 1))}
-    identity = tuple(range(q + 1))
-    faces = [
-        ((r - first_face) * stride, theta_map(letter_theta(identity, (FACE, r))))
-        for r in range(first_face, q + 1)
-    ]
-    rule = model.theta_label
+    shifts = [(r - first_face) * stride for r in range(first_face, q + 1)]
     cols = []
-    for lbl in model.basis(q):
+    for row in model.face_rows(q):
         v = 0
-        for shift, gather in faces:
-            img = rule(gather, lbl)
-            if img is not None:
-                v ^= 1 << (index[img] + shift)
+        for c, shift in zip(row[first_face:], shifts):
+            if c >= 0:
+                v ^= 1 << (c + shift)
         cols.append(v)
     return cols
 
@@ -187,7 +181,7 @@ def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
     """
     if q == 0:
         return [1 << c for c in range(len(model.basis(0)))]
-    stride = len(model.basis(q - 1))
+    stride = model.dimension(q - 1)
     cols = _face_columns(model, q, first_face, stride)
     rows = stride * (q + 1 - first_face)
     return reduced_echelon(F2Matrix(rows, cols).kernel_basis())

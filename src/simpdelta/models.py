@@ -17,8 +17,16 @@ for algebra monomials.  The one action on elements is
 ``Model.apply_word``, where a single face or degeneracy is a one-letter
 word; it compiles each (word, source degree) once per model, and what
 the word means there (defined, zero, or past the truncation) is
-``words.walk`` itself, run on the model's ``max_degree``.  The associated
-complex and ``dump_model`` read the same rule through the one-letter θ.
+``words.walk`` itself, run on the model's ``max_degree``.  ``dump_model``
+reads the same rule through the one-letter θ.
+
+The chain complexes read the faces from ``Model.face_rows(q)``: per
+degree-q label, the basis indices of its faces d_0 .. d_q, built once per
+degree.  A module model builds that table from ``theta_label``.  The
+algebra builds it from the sphere's table, factor by factor on tuples of
+sphere indices: the sphere basis is lexicographic, so index order is label
+order and no label is gathered.  ``Model.dimension`` gives each basis size
+from a closed form, so a size can be checked before anything is built.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError
@@ -30,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from math import comb
 from operator import itemgetter
 
 from .words import DEGENERACY, FACE, Word, degeneracy, face, letter_theta, walk
@@ -71,11 +80,12 @@ def theta_map(theta: tuple):
 
 
 class Model:
-    """Common machinery: elements, the action of words.
+    """Common machinery: elements, the action of words, the face table.
 
-    Each subclass gives its basis and one label rule,
-    ``theta_label(gather, label)``: the image of a basis label under a
-    compiled θ (see ``theta_map``), or None for zero.
+    Each subclass gives its basis, its dimension from a closed form, one
+    label rule, ``theta_label(gather, label)``: the image of a basis label
+    under a compiled θ (see ``theta_map``), or None for zero; and its
+    face table over basis indices (``_face_table``).
     """
 
     name: str
@@ -83,6 +93,29 @@ class Model:
     max_degree: int
 
     def basis(self, degree: int) -> tuple:
+        raise NotImplementedError
+
+    def dimension(self, degree: int) -> int:
+        """``len(self.basis(degree))`` from a closed form, building nothing."""
+        raise NotImplementedError
+
+    def face_rows(self, q: int) -> tuple:
+        """Per label of ``basis(q)``, in basis order, its faces d_0 .. d_q.
+
+        Each face is an index into ``basis(q - 1)``, or -1 where the face
+        is zero.  Built once per degree and kept on the model.  In degree 0
+        every face is the zero map, as for ``apply_word``.
+        """
+        rows = self._faces.get(q)
+        if rows is None:
+            if q <= 0:
+                rows = ((-1,),) * len(self.basis(q))
+            else:
+                rows = self._face_table(q)
+            self._faces[q] = rows
+        return rows
+
+    def _face_table(self, q: int) -> tuple:
         raise NotImplementedError
 
     def label_str(self, label) -> str:
@@ -168,6 +201,7 @@ class ModuleModel(Model):
         self.max_degree = max_degree
         self._basis: dict[int, tuple] = {}
         self._plans: dict = {}
+        self._faces: dict[int, tuple] = {}
 
     def _member(self, label: tuple) -> bool:
         raise NotImplementedError
@@ -199,6 +233,23 @@ class ModuleModel(Model):
         img = gather(label)
         return img if self._member(img) else None
 
+    def _face_table(self, q: int) -> tuple:
+        """``theta_label`` through each one-letter θ, looked up by label."""
+        index = {lbl: c for c, lbl in enumerate(self.basis(q - 1))}
+        identity = tuple(range(q + 1))
+        gathers = [
+            theta_map(letter_theta(identity, (FACE, r))) for r in range(q + 1)
+        ]
+        rule = self.theta_label
+        rows = []
+        for lbl in self.basis(q):
+            row = []
+            for gather in gathers:
+                img = rule(gather, lbl)
+                row.append(-1 if img is None else index[img])
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def label_str(self, label) -> str:
         return "-".join(str(v) for v in label)
 
@@ -213,6 +264,9 @@ class DeltaModel(ModuleModel):
     def _member(self, label):
         return True
 
+    def dimension(self, degree):
+        return comb(self.n + degree + 1, degree + 1) if degree >= 0 else 0
+
 
 class BoundaryDeltaModel(ModuleModel):
     """The boundary subcomplex: tuples that miss at least one vertex."""
@@ -223,6 +277,11 @@ class BoundaryDeltaModel(ModuleModel):
 
     def _member(self, label):
         return len(set(label)) < self.n + 1
+
+    def dimension(self, degree):
+        if degree < 0:
+            return 0
+        return comb(self.n + degree + 1, degree + 1) - comb(degree, self.n)
 
 
 class SphereModel(ModuleModel):
@@ -239,6 +298,9 @@ class SphereModel(ModuleModel):
 
     def _member(self, label):
         return len(set(label)) == self.n + 1
+
+    def dimension(self, degree):
+        return comb(degree, self.n) if degree >= 0 else 0
 
     def fundamental_class(self) -> F2Element:
         return self.element([tuple(range(self.n + 1))], self.n)
@@ -275,6 +337,7 @@ class AlgebraModel(Model):
         self.name = f"SphereAlgebra({n}, P={poly_bound}{tag})"
         self._basis: dict[int, tuple] = {}
         self._plans: dict = {}
+        self._faces: dict[int, tuple] = {}
 
     def basis(self, degree: int) -> tuple:
         if degree < 0:
@@ -286,6 +349,44 @@ class AlgebraModel(Model):
                 monos.extend(combinations_with_replacement(gens, p))
             self._basis[degree] = tuple(monos)
         return self._basis[degree]
+
+    def dimension(self, degree):
+        if degree < 0:
+            return 0
+        s = self.underlying.dimension(degree)
+        return 1 + sum(comb(s + p - 1, p) for p in range(1, self.poly_bound + 1))
+
+    def monomial_indices(self, degree: int):
+        """``basis(degree)`` with each factor replaced by its sphere index.
+
+        The sphere basis is lexicographic, so enumerating index tuples
+        yields the monomials in basis order, and sorting index tuples
+        sorts the labels they stand for.
+        """
+        gens = range(len(self.underlying.basis(degree)))
+        return chain([()], *(
+            combinations_with_replacement(gens, p)
+            for p in range(1, self.poly_bound + 1)
+        ))
+
+    def _face_table(self, q: int) -> tuple:
+        """The sphere's face table factor by factor, on index tuples.
+
+        A face of a monomial is its factors' faces re-sorted, zero when
+        one of them is (it then sorts first as -1), else looked up among
+        the degree-(q-1) index tuples.
+        """
+        sphere = self.underlying.face_rows(q)
+        tables = [[row[r] for row in sphere] for r in range(q + 1)]
+        lower = {m: c for c, m in enumerate(self.monomial_indices(q - 1))}
+        rows = []
+        for mono in self.monomial_indices(q):
+            row = []
+            for t in tables:
+                img = sorted([t[f] for f in mono])
+                row.append(-1 if img and img[0] < 0 else lower[tuple(img)])
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def theta_label(self, gather, mono):
         """The sphere rule factor by factor, re-sorted; zero if a factor dies."""

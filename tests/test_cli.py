@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+from time import perf_counter
 
 import pytest
 
 from simpdelta import cli
 from simpdelta.cli import main
+from simpdelta.models import algebra_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -227,3 +229,30 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, monkeypatch, argv
 
 def test_no_subcommand(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("delta", "--q", "8", "--i", "8"), "295,524,516"),
+    (("homology", "--model", "sphere-algebra", "--n", "4", "--max-degree", "40"),
+     "4,176,203,136"),
+    (("homology", "--model", "delta", "--n", "10", "--max-degree", "20"),
+     "44,352,165"),
+], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20"])
+def test_oversized_model_exits_2_at_once(capsys, argv, size):
+    t0 = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert size in err and f"budget of {cli.BASIS_BUDGET:,}" in err
+
+
+@pytest.mark.parametrize("q, i, poly, admitted", [
+    (5, 5, 2, True),   # 107,416 monomials in degree 11
+    (3, 3, 4, True),   # 82,251 in degree 7
+    (6, 6, 2, False),  # 1,474,903 in degree 13
+    (7, 7, 2, False),  # 20,714,266 in degree 15
+])
+def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitted):
+    model = algebra_model(q, q + i + 1, poly)
+    assert (model.dimension(q + i + 1) <= cli.BASIS_BUDGET) == admitted

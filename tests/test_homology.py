@@ -248,7 +248,43 @@ def _oracle_element_vector(model, x):
 
 @pytest.mark.parametrize(
     "model",
-    MODELS + [algebra_model(2, 5, 2)],
+    MODELS + [
+        algebra_model(2, 4, 4),
+        algebra_model(2, 4, 3, quotient=True),
+    ],
+    ids=lambda m: m.name,
+)
+def test_face_rows_match_label_oracle(model):
+    for q in range(model.max_degree + 1):
+        lower = model.basis(q - 1)
+        want = []
+        for lbl in model.basis(q):
+            images = [letter_label(model, (FACE, r), lbl, q) for r in range(q + 1)]
+            want.append(tuple(-1 if img is None else lower.index(img)
+                              for img in images))
+        assert model.face_rows(q) == tuple(want), q
+
+
+@pytest.mark.parametrize(
+    "model",
+    [algebra_model(2, 5, 2), algebra_model(2, 4, 4),
+     algebra_model(3, 5, 3, quotient=True)],
+    ids=lambda m: m.name,
+)
+def test_monomial_indices_enumerate_the_basis(model):
+    """The algebra's face table rests on this: index tuples list the basis
+    position by position, and the sphere basis is sorted, so sorting
+    indices sorts labels."""
+    for q in range(model.max_degree + 1):
+        gens = model.underlying.basis(q)
+        assert list(gens) == sorted(gens)
+        monos = [tuple(gens[f] for f in m) for m in model.monomial_indices(q)]
+        assert monos == list(model.basis(q)), q
+
+
+@pytest.mark.parametrize(
+    "model",
+    MODELS + [algebra_model(2, 5, 2), algebra_model(2, 4, 4)],
     ids=lambda m: f"{m.name}-top{m.max_degree}",
 )
 def test_label_free_complexes_match_label_oracle(model):

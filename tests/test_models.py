@@ -81,6 +81,24 @@ def test_dimension_formulas():
     ]
 
 
+@pytest.mark.parametrize("model", ALL_MODELS + [
+    delta_model(0, 3),
+    sphere_model(0, 3),
+    algebra_model(3, 5, 3),
+    algebra_model(1, 4, 5, quotient=True),
+], ids=lambda m: m.name)
+def test_closed_form_dimension_is_the_basis_size(model):
+    assert [model.dimension(q) for q in range(-1, model.max_degree + 1)] == [
+        len(model.basis(q)) for q in range(-1, model.max_degree + 1)
+    ]
+
+
+def test_closed_form_dimension_builds_nothing():
+    am = algebra_model(7, 15, 2)
+    assert am.dimension(15) == 20_714_266
+    assert am._basis == {} and am.underlying._basis == {}
+
+
 def test_basis_is_lazy_and_cached():
     dm = delta_model(6, 30)
     x = dm.element([tuple(range(7))], 6)
