@@ -2,8 +2,8 @@
 
 Every run is deterministic: identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
-configuration, a model over the size budget, or an output file that
-cannot be written.
+configuration, a model or a window over its size budget, or an output
+file that cannot be written.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import io
 import json
 import os
 import sys
+from functools import partial
+from math import comb
 
 from .homology import associated_complex, normalized_complex
 from .models import (
@@ -64,6 +66,26 @@ def _check_size(model):
         )
 
 
+# The largest shuffle-map term count, C(i+j, i) at the top bidegree, that
+# `verify` and `dump-transform` will build toward.  It admits window 16
+# (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18 (48,620) and
+# beyond; window 14 already takes tens of seconds and some hundred MB.  The
+# refinements D^k have at least the shuffle map's terms, so the estimate is
+# a lower bound for them.
+TERM_BUDGET = 20_000
+
+
+def _check_terms(i: int, j: int):
+    """Refuse bidegree (i, j) when the shuffle map there has more than
+    TERM_BUDGET terms, before any transform is built."""
+    size = comb(i + j, i)
+    if size > TERM_BUDGET:
+        raise _ConfigError(
+            f"the shuffle map would have {size:,} terms at bidegree "
+            f"({i}, {j}), over the budget of {TERM_BUDGET:,}"
+        )
+
+
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
@@ -108,6 +130,7 @@ def _cmd_verify(args) -> int:
             f"the Dwyer window needs 2*max_k <= max_total "
             f"(got max_k={args.max_k}, max_total={args.max_total})"
         )
+    _check_terms(args.max_total // 2, args.max_total - args.max_total // 2)
     results = [
         check_relation(name, args.max_total)
         for name in relation_names(args.max_k, args.family)
@@ -297,15 +320,17 @@ def _cmd_dump(args) -> int:
     if args.name in _PLAIN_TRANSFORMS:
         if args.k is not None:
             raise _ConfigError(f"--name {args.name} takes no --k")
-        transform: EMTransform = _PLAIN_TRANSFORMS[args.name]()
+        build = _PLAIN_TRANSFORMS[args.name]
     elif args.name in _INDEXED_TRANSFORMS:
         if args.k is None or args.k < 0:
             raise _ConfigError(f"--name {args.name} needs --k >= 0")
-        transform = _INDEXED_TRANSFORMS[args.name](args.k)
+        build = partial(_INDEXED_TRANSFORMS[args.name], args.k)
     else:
         raise _ConfigError(f"unknown transform {args.name!r}")
     if args.i < 0 or args.j < 0:
         raise _ConfigError("--i and --j must be >= 0")
+    _check_terms(args.i, args.j)
+    transform: EMTransform = build()
     _emit(_json_text(dump_bidegree(transform, args.i, args.j, args.reduced)), args.output)
     return 0
 

@@ -17,8 +17,13 @@ for algebra monomials.  The one action on elements is
 ``Model.apply_word``, where a single face or degeneracy is a one-letter
 word; it compiles each (word, source degree) once per model, and what
 the word means there (defined, zero, or past the truncation) is
-``words.walk`` itself, run on the model's ``max_degree``.  ``dump_model``
-reads the same rule through the one-letter θ.
+``words.walk`` itself, run on the model's ``max_degree``.  Each compiled
+plan keeps an image table, source label to image label (None for zero),
+filled by ``theta_label`` on first use, so a label's image under a word
+is computed once per model.  ``Model.element`` keeps one shared element
+per (degree, label) for one-label input, so an image is not rebuilt as a
+new element on every call.  ``dump_model`` reads the same rule through
+the one-letter θ.
 
 The chain complexes read the faces from ``Model.face_rows(q)``: per
 degree-q label, the basis indices of its faces d_0 .. d_q, built once per
@@ -69,6 +74,9 @@ class F2Element:
 
     def __len__(self) -> int:
         return len(self.support)
+
+
+_MISSING = object()  # an image not yet computed
 
 
 def theta_map(theta: tuple):
@@ -122,10 +130,20 @@ class Model:
         raise NotImplementedError
 
     def zero(self, degree: int) -> F2Element:
-        return F2Element(degree, frozenset())
+        return self.element((), degree)
 
     def element(self, labels, degree: int) -> F2Element:
-        """The mod-2 sum of a sequence of labels in one degree."""
+        """The mod-2 sum of a sequence of labels in one degree.
+
+        Zero and one-label elements are shared: one per (degree, label),
+        made on first use and kept on the model, like ``_basis``.
+        """
+        if len(labels) <= 1:
+            key = (degree, *labels)
+            x = self._elements.get(key)
+            if x is None:
+                x = self._elements[key] = F2Element(degree, frozenset(labels))
+            return x
         support = frozenset(labels)
         if len(support) != len(labels):  # repeated labels cancel in pairs
             acc: set = set()
@@ -135,30 +153,35 @@ class Model:
         return F2Element(degree, support)
 
     def apply_word(self, w: Word, x: F2Element) -> F2Element:
-        """Act by ``w``: its compiled plan at ``x.degree``, then one rule per label.
+        """Act by ``w``: its compiled plan at ``x.degree``, then one image per label.
 
         The plan is made once per (word, source degree) and kept on the
-        model; see ``_compile``.  The letters are linear, so images are
-        summed mod 2 once, at the end.
+        model; see ``_compile``.  Its image table maps a source label to
+        its image label, None for zero; ``theta_label`` runs only for a
+        label the table has not seen, so the table holds at most the
+        source degree's basis.  The letters are linear, so images are
+        summed mod 2 once, at the end, by ``element``.
         """
         key = (w.factors, x.degree)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(w, x.degree)
-        target, gather, fail = plan
+        target, gather, fail, table = plan
         if fail is not None:
             fail()  # raises a new exception on every call
         if gather is None:
             return self.zero(target)
         images = []
         for lbl in x.support:
-            img = self.theta_label(gather, lbl)
+            img = table.get(lbl, _MISSING)
+            if img is _MISSING:
+                img = table[lbl] = self.theta_label(gather, lbl)
             if img is not None:
                 images.append(img)
         return self.element(images, target)
 
     def _compile(self, w: Word, m: int) -> tuple:
-        """The word's meaning at degree m: (target, gather, fail).
+        """The word's meaning at degree m: (target, gather, fail, table).
 
         ``words.walk`` on this model's ``max_degree`` decides it, whatever
         the support.  A word it rejects gets ``fail``, that walk bound to
@@ -166,17 +189,18 @@ class Model:
         TruncationOverflowError and the plan keeps no exception alive.  A
         word it absorbs into the zero space gets ``gather`` None, the zero
         map.  Otherwise ``gather`` reads the labels through the θ that
-        ``letter_theta`` composes from the letters, rightmost first.
+        ``letter_theta`` composes from the letters, rightmost first, and
+        ``table``, empty at first, is the plan's image table.
         """
         target = w.target_degree(m)
         try:
             absorbed = walk(w.factors, m, self.max_degree) is None
         except (OutOfRangeError, TruncationOverflowError):
-            return target, None, partial(walk, w.factors, m, self.max_degree)
+            return target, None, partial(walk, w.factors, m, self.max_degree), None
         if absorbed:
-            return target, None, None
+            return target, None, None, None
         theta = reduce(letter_theta, reversed(w.factors), tuple(range(m + 1)))
-        return target, theta_map(theta), None
+        return target, theta_map(theta), None, {}
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
@@ -202,6 +226,7 @@ class ModuleModel(Model):
         self._basis: dict[int, tuple] = {}
         self._plans: dict = {}
         self._faces: dict[int, tuple] = {}
+        self._elements: dict[tuple, F2Element] = {}
 
     def _member(self, label: tuple) -> bool:
         raise NotImplementedError
@@ -338,6 +363,7 @@ class AlgebraModel(Model):
         self._basis: dict[int, tuple] = {}
         self._plans: dict = {}
         self._faces: dict[int, tuple] = {}
+        self._elements: dict[tuple, F2Element] = {}
 
     def basis(self, degree: int) -> tuple:
         if degree < 0:
@@ -473,9 +499,6 @@ def tensor(x: F2Element, y: F2Element) -> TensorElement:
     )
 
 
-_MISSING = object()
-
-
 def evaluate_em(
     transform, element: TensorElement, left_model: Model, right_model: Model
 ) -> TensorElement:
@@ -486,8 +509,9 @@ def evaluate_em(
     bidegree (``EMTransform.word_table``), so words are looked up by
     integer id, never hashed.  Each side keeps one row per distinct
     label: its one-label element and its images by word id, each image
-    computed once per call, in the order the terms and pairs first ask
-    for it; a right image is not computed where the left one is zero.
+    asked of ``apply_word`` once per call, in the order the terms and
+    pairs first ask for it; a right image is not asked for where the left
+    one is zero.  ``apply_word`` reads the image from its plan's table.
     """
     i, j = element.left_degree, element.right_degree
     k, l = transform.target(i, j)

@@ -1,6 +1,7 @@
 """Command-line entry points, driven in-process through main()."""
 
 import json
+import math
 import pathlib
 from time import perf_counter
 
@@ -256,3 +257,36 @@ def test_oversized_model_exits_2_at_once(capsys, argv, size):
 def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitted):
     model = algebra_model(q, q + i + 1, poly)
     assert (model.dimension(q + i + 1) <= cli.BASIS_BUDGET) == admitted
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("verify", "dwyer", "--max-total", "40", "--max-k", "4"),
+     "137,846,528,820 terms at bidegree (20, 20)"),
+    (("dump-transform", "--name", "shuffle", "--i", "40", "--j", "40"),
+     "107,507,208,733,336,176,461,620 terms at bidegree (40, 40)"),
+], ids=["verify-window-40", "dump-shuffle-40-40"])
+def test_oversized_window_exits_2_at_once(capsys, argv, size):
+    t0 = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert size in err and f"budget of {cli.TERM_BUDGET:,}" in err
+
+
+@pytest.mark.parametrize("window, terms, admitted", [
+    (12, 924, True),     # C(12, 6), the benchmark's sweep window
+    (16, 12_870, True),  # C(16, 8)
+    (18, 48_620, False),
+    (20, 184_756, False),
+])
+def test_term_budget_admits_window_16(window, terms, admitted):
+    # closed forms only: no transform is built
+    i, j = window // 2, window - window // 2
+    assert math.comb(i + j, i) == terms
+    assert (terms <= cli.TERM_BUDGET) == admitted
+    if admitted:
+        cli._check_terms(i, j)
+    else:
+        with pytest.raises(cli._ConfigError, match=f"{terms:,} terms"):
+            cli._check_terms(i, j)

@@ -329,6 +329,22 @@ def test_element_arithmetic():
     assert dm.element_str(dm.zero(1)) == "0"
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_one_label_elements_are_shared(model):
+    q = model.n
+    for lbl in model.basis(q)[:3]:
+        x = model.element([lbl], q)
+        assert x is model.element([lbl], q)
+        assert x == F2Element(q, frozenset({lbl}))
+        # repeated labels still cancel mod 2
+        assert model.element([lbl, lbl], q) == F2Element(q, frozenset())
+    assert model.zero(q) is model.zero(q) == F2Element(q, frozenset())
+    # a one-label image is the shared element of its label
+    img = model.apply_word(degeneracy(0), model.element([model.basis(q)[0]], q))
+    (lbl,) = img.support
+    assert img is model.element([lbl], q + 1)
+
+
 def test_algebra_basis_and_unit():
     am = algebra_model(2, 5, 2)
     z = am.fundamental_class()
@@ -496,6 +512,35 @@ def test_evaluate_em_makes_the_per_word_calls(left, right, transform, monkeypatc
             outcome = _outcome(lambda: evaluate(transform, t, left, right))
             runs.append((outcome, list(calls)))
         assert runs[1] == runs[0]
+
+
+def test_image_tables_are_bounded_by_the_basis(monkeypatch):
+    """The numeric sweep's Delta(4) (x) Delta(4) evaluations fill each
+    plan's image table at most once per source label, and every
+    ``theta_label`` call is a table miss."""
+    lm, rm = delta_model(4, 4), delta_model(4, 4)
+    rule = type(lm).theta_label
+    calls = []
+
+    def record(model, gather, label):
+        calls.append(model)
+        return rule(model, gather, label)
+
+    monkeypatch.setattr(type(lm), "theta_label", record)
+    t = _chain_map_transform()
+    for i in range(5):
+        for j in range(5 - i):
+            for la in lm.basis(i):
+                for lb in rm.basis(j):
+                    x = tensor(lm.element([la], i), rm.element([lb], j))
+                    assert not evaluate_em(t, x, lm, rm).pairs
+    for model in (lm, rm):
+        tables = [(m, plan[3]) for (_, m), plan in model._plans.items()
+                  if plan[3] is not None]
+        assert tables
+        assert all(len(table) <= model.dimension(m) for m, table in tables)
+        assert any(len(table) == model.dimension(m) for m, table in tables)
+        assert calls.count(model) == sum(len(table) for _, table in tables)
 
 
 def test_model_dump_golden():
