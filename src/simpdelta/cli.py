@@ -4,12 +4,27 @@ Every run is deterministic: identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
 configuration, a model or a window over its size budget, or an output
 file that cannot be written.
+
+``main`` runs each subcommand with Python's cyclic garbage collector
+paused, and restores the caller's setting when it returns.  Words, normal
+forms, transform terms, model tables and matrices refer to one another
+only downward, never in a cycle, so reference counting frees everything a
+run drops, and the collector would only rescan the live terms again and
+again (a quarter of the window-12 Dwyer sweep).  The Tier-1 test
+``test_cli_runs_leave_no_cyclic_garbage`` holds this: a larger window must
+leave no more cyclic garbage than a smaller one.  Library callers that
+import the package keep the default collector.  The ``simpdelta`` command
+(``entry``) turns the collector off for the whole process, because the
+process ends with the run: turned back on, it would scan all the run's
+data twice more just before it is freed, once in the first young
+collection and once at interpreter exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -67,11 +82,11 @@ def _check_size(model):
 
 
 # The largest shuffle-map term count, C(i+j, i) at the top bidegree, that
-# `verify` and `dump-transform` will build toward.  It admits window 16
-# (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18 (48,620) and
-# beyond; window 14 already takes tens of seconds and some hundred MB.  The
-# refinements D^k have at least the shuffle map's terms, so the estimate is
-# a lower bound for them.
+# `verify` and a `dump-transform` of the shuffle map, a refinement or a
+# defect will build toward.  It admits window 16 (C(16, 8) = 12,870 terms at
+# (8, 8)) and refuses window 18 (48,620) and beyond; window 14 already takes
+# tens of seconds and some hundred MB.  The refinements D^k have at least
+# the shuffle map's terms, so the estimate is a lower bound for them.
 TERM_BUDGET = 20_000
 
 
@@ -316,6 +331,11 @@ _INDEXED_TRANSFORMS = {
 }
 
 
+# The transforms built from the shuffle map, with at least C(i+j, i) terms at
+# (i, j).  Every other named transform has at most max(i, j) + 1 there.
+_SHUFFLE_TRANSFORMS = ("shuffle", "refinement", "defect")
+
+
 def _cmd_dump(args) -> int:
     if args.name in _PLAIN_TRANSFORMS:
         if args.k is not None:
@@ -329,7 +349,8 @@ def _cmd_dump(args) -> int:
         raise _ConfigError(f"unknown transform {args.name!r}")
     if args.i < 0 or args.j < 0:
         raise _ConfigError("--i and --j must be >= 0")
-    _check_terms(args.i, args.j)
+    if args.name in _SHUFFLE_TRANSFORMS:
+        _check_terms(args.i, args.j)
     transform: EMTransform = build()
     _emit(_json_text(dump_bidegree(transform, args.i, args.j, args.reduced)), args.output)
     return 0
@@ -393,20 +414,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # the run's data is acyclic: see the module docstring
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _check_output_dir(args.output)
-        return args.handler(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            _check_output_dir(args.output)
+            return args.handler(args)
+        except _ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry() -> None:
+    # the process ends with the run: see the module docstring
+    gc.disable()
     sys.exit(main())
 
 

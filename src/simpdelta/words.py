@@ -68,10 +68,11 @@ class Word:
 
     Words are hash-consed: ``Word(factors)`` returns the one live word with
     those factors, so equal words are one object and compare by identity
-    first.  Every call still runs ``__post_init__``, whose letter check
-    loops only when some letter has not passed it before.  A word joins
-    the table only once it is valid, and an existing word is never
-    written to.  Copying or unpickling a word returns the shared object.
+    first.  Every call still runs ``__post_init__``, which returns at once
+    for a registered word; for a new one, its letter check loops only when
+    some letter has not passed it before.  A word joins the table only
+    once it is valid, and an existing word is never written to.  Copying
+    or unpickling a word returns the shared object.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -88,6 +89,8 @@ class Word:
 
     def __post_init__(self):
         factors = self.factors
+        if _WORDS.get(factors) is self:  # registered, so already checked
+            return
         if not _LETTERS.issuperset(factors):
             for kind, index in factors:
                 if kind not in (FACE, DEGENERACY) or index < 0:

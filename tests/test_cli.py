@@ -1,8 +1,10 @@
 """Command-line entry points, driven in-process through main()."""
 
+import gc
 import json
 import math
 import pathlib
+import sys
 from time import perf_counter
 
 import pytest
@@ -176,6 +178,18 @@ def test_dump_transform_at_a_large_k(capsys, name):
     }
 
 
+@pytest.mark.parametrize("argv, term", [
+    (("--name", "identity"), ["id", "id"]),
+    (("--name", "face0-left"), ["d0", "id"]),
+    (("--name", "diagonal-identity", "--k", "40"), ["id", "id"]),
+], ids=["identity", "face0-left", "diagonal-identity"])
+def test_small_transforms_are_dumped_at_a_large_bidegree(capsys, argv, term):
+    # only the shuffle map and the transforms built from it are term-checked
+    code, out, err = run(capsys, "dump-transform", *argv, "--i", "40", "--j", "40")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"] == [term]
+
+
 def test_dump_transform_argument_errors(capsys):
     code, _, err = run(capsys, "dump-transform", "--name", "refinement",
                        "--i", "1", "--j", "1")
@@ -226,6 +240,46 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, monkeypatch, argv
     assert code == 2
     assert out == ""
     assert f"error: cannot write {tmp_path}: Is a directory" in err
+
+
+@pytest.mark.parametrize("small, large", [
+    (("verify", "dwyer", "--max-total", "4", "--max-k", "2"),
+     ("verify", "dwyer", "--max-total", "8", "--max-k", "4")),
+    (("delta", "--q", "2", "--i", "2"), ("delta", "--q", "3", "--i", "3")),
+    (("homology", "--model", "sphere-algebra", "--n", "2", "--max-degree", "4"),
+     ("homology", "--model", "sphere-algebra", "--n", "3", "--max-degree", "7")),
+], ids=["verify", "delta", "homology"])
+def test_cli_runs_leave_no_cyclic_garbage(capsys, small, large):
+    # main pauses the cyclic collector, which is safe only while a run's
+    # data has no reference cycles: then the only cyclic garbage is the
+    # fixed amount argparse and json leave per run, whatever the window
+    assert run(capsys, *small)[0] == 0
+    assert gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        garbage = []
+        for argv in (small, large):
+            assert run(capsys, *argv)[0] == 0
+            assert not gc.isenabled()
+            garbage.append(gc.collect())
+    finally:
+        gc.enable()
+    assert garbage[1] <= garbage[0]
+
+
+def test_the_command_keeps_the_collector_off_to_its_exit(capsys, monkeypatch):
+    # the process ends with the run, so entry does not turn it back on
+    monkeypatch.setattr(sys, "argv", ["simpdelta", "verify", "simp", "--max-total", "2"])
+    assert gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.endswith("relations passed on window max_total=2\n")
 
 
 def test_no_subcommand(capsys):

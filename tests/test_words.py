@@ -205,6 +205,33 @@ def test_post_init_runs_once_per_call(monkeypatch):
     assert len(calls) == 4
 
 
+class _CountingLetters(set):
+    """A letter set that counts the generator checks made against it."""
+
+    checks = 0
+
+    def issuperset(self, other):
+        self.checks += 1
+        return super().issuperset(other)
+
+
+def test_a_registered_word_skips_the_letter_check(monkeypatch):
+    w = parse_word("s2 s0 d1")
+    letters = _CountingLetters(words._LETTERS)
+    monkeypatch.setattr(words, "_LETTERS", letters)
+    before = dict(words._WORDS)
+    assert Word(_copy_of(w.factors)) is w
+    assert w * IDENTITY is w
+    assert letters.checks == 0
+    assert words._WORDS == before
+    fresh = (("s", 93), ("d", 92))  # in no other test
+    assert fresh not in words._WORDS
+    v = Word(fresh)
+    assert letters.checks == 1
+    assert words._WORDS[fresh] is v
+    assert letters.issuperset(fresh)
+
+
 def test_equal_normal_forms_are_one_object():
     assert normalize(parse_word("d1 s0"), 2) is normalize(IDENTITY, 2)
     assert normalize(parse_word("d3 s0"), 3) is normalize(parse_word("s0 d2"), 3)
