@@ -30,7 +30,7 @@ import json
 import os
 import sys
 from functools import partial
-from math import comb
+from math import comb, floor, log10
 
 from .homology import associated_complex, normalized_complex
 from .models import (
@@ -63,6 +63,17 @@ class _ConfigError(Exception):
     pass
 
 
+def _count_text(size: int) -> str:
+    """A size estimate for a refusal message: exact with thousands
+    separators up to 30 digits, else its order of magnitude, taken from
+    the bit length, since converting a very long int to a string is slow
+    and past 4,300 digits refused by Python."""
+    if size < 10**30:
+        return f"{size:,}"
+    shift = size.bit_length() - 64
+    return f"about 10^{floor(log10(size >> shift) + shift * log10(2))}"
+
+
 # The largest top-degree basis that `delta` and `homology` will build.  It
 # admits delta --q 5 --i 5 (107,416 monomials in degree 11: seconds, some
 # hundred MB) and refuses --q 6 --i 6 (1,474,903), which would run for
@@ -76,7 +87,7 @@ def _check_size(model):
     size = model.dimension(model.max_degree)
     if size > BASIS_BUDGET:
         raise _ConfigError(
-            f"{model.name} would have {size:,} basis elements in degree "
+            f"{model.name} would have {_count_text(size)} basis elements in degree "
             f"{model.max_degree}, over the budget of {BASIS_BUDGET:,}"
         )
 
@@ -96,7 +107,7 @@ def _check_terms(i: int, j: int):
     size = comb(i + j, i)
     if size > TERM_BUDGET:
         raise _ConfigError(
-            f"the shuffle map would have {size:,} terms at bidegree "
+            f"the shuffle map would have {_count_text(size)} terms at bidegree "
             f"({i}, {j}), over the budget of {TERM_BUDGET:,}"
         )
 

@@ -2,14 +2,16 @@
 
 A complex is held as its differential alone: per degree, one bitmask
 per basis vector.  Two complexes per model: the associated complex
-(basis = the model basis, differential = sum of all faces) and the
-normalized one, the subcomplex whose degree q part is the intersection
-of the kernels of d_1 ... d_q.  On that subcomplex the associated
-differential is d_0, so the normalized differential is read off the
-associated complex.  They compute the same homology, which the tests and
-the CLI verify degreewise.  Both read the faces from the model's face
-table over basis indices (``Model.face_rows``), not from labels.  All
-linear algebra is exact bit-packed elimination from `gf2`.
+(basis = the model basis, differential = sum of all faces), built once
+per model for degrees 0..max_degree and kept on it, and the normalized
+one, the subcomplex whose degree q part is the intersection of the
+kernels of d_1 ... d_q.  On that subcomplex the associated differential
+is d_0 (May, *Simplicial Objects in Algebraic Topology*, §22), so the
+normalized differential is d_0 alone, read from the face table.  They
+compute the same homology, which the tests and the CLI verify
+degreewise.  Both read the faces from the model's face table over basis
+indices (``Model.face_rows``), not from labels.  All linear algebra is
+exact bit-packed elimination from `gf2`.
 """
 
 from __future__ import annotations
@@ -100,32 +102,19 @@ class ChainComplexF2:
         ]
 
 
-def associated_complex(model: Model, max_degree: int | None = None) -> ChainComplexF2:
+def associated_complex(model: Model) -> ChainComplexF2:
     """Differential = mod-2 sum of all faces, in the model's basis order.
 
-    The complex is built once per model and top degree and then shared:
+    Built for degrees 0..max_degree on first use and kept on the model:
     repeated calls return the same object, whose eliminated matrices are
     reused by every later query.  Treat it as read-only.
     """
-    return _shared_associated(
-        model, model.max_degree if max_degree is None else max_degree
-    )
-
-
-def _shared_associated(model: Model, top: int) -> ChainComplexF2:
-    """The memo behind `associated_complex`; `normalized_complex` reads it
-    here, so a traced `associated_complex` counts only outside calls."""
-    memo = vars(model).setdefault("_associated", {})
-    if top not in memo:
-        memo[top] = _build_associated(model, top)
-    return memo[top]
-
-
-def _build_associated(model: Model, top: int) -> ChainComplexF2:
-    diff = [[0] * len(model.basis(0))]
-    for q in range(1, top + 1):
-        diff.append(_face_columns(model, q, 0, 0))
-    return ChainComplexF2(diff)
+    if model._associated is None:
+        diff = [[0] * len(model.basis(0))]
+        for q in range(1, model.max_degree + 1):
+            diff.append(_face_columns(model, q, 0, 0))
+        model._associated = ChainComplexF2(diff)
+    return model._associated
 
 
 def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[int]:
@@ -147,21 +136,26 @@ def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[in
     return cols
 
 
-def normalized_complex(model: Model, max_degree: int | None = None) -> ChainComplexF2:
+def normalized_complex(model: Model) -> ChainComplexF2:
     """Degree q = intersection of ker d_1 .. ker d_q, differential d_0.
 
     Basis vectors are canonical reduced-echelon bitmasks over the model
-    basis.  Every face but d_0 vanishes on them, so d_0 is the shared
-    associated differential, expressed in the degree-(q-1) basis.
+    basis.  Every face but d_0 vanishes on them, so the differential is
+    d_0 alone, read from ``model.face_rows(q)`` and expressed in the
+    degree-(q-1) basis.
     """
-    top = model.max_degree if max_degree is None else max_degree
-    assoc = _shared_associated(model, top)
+    top = model.max_degree
     nbases = [_face_kernel(model, q, 1) for q in range(top + 1)]
     diff = [[0] * len(nbases[0])]
     for q in range(1, top + 1):
+        d0 = [row[0] for row in model.face_rows(q)]
         cols = []
         for vec in nbases[q]:
-            coords = coordinates(assoc.boundary_vector(q, vec), nbases[q - 1])
+            image = 0
+            for c in bits(vec):
+                if d0[c] >= 0:
+                    image ^= 1 << d0[c]
+            coords = coordinates(image, nbases[q - 1])
             if coords is None:
                 raise AssertionError(
                     "d_0 left the normalized subspace; the model actions are broken"
@@ -241,6 +235,5 @@ def same_class(model: Model, z1: F2Element, z2: F2Element) -> bool:
     """Homologous test in the associated complex of the model."""
     if z1.degree != z2.degree:
         raise NotACycleError("cycles live in different degrees")
-    q = z1.degree
-    chain = associated_complex(model, min(model.max_degree, q + 1))
-    return chain.same_class(q, element_vector(model, z1), element_vector(model, z2))
+    v1, v2 = element_vector(model, z1), element_vector(model, z2)
+    return associated_complex(model).same_class(z1.degree, v1, v2)

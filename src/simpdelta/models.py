@@ -15,15 +15,20 @@ through θ, kept when the image is still a basis label (a module model's
 membership test, which is the sphere's quotient) and re-sorted factorwise
 for algebra monomials.  The one action on elements is
 ``Model.apply_word``, where a single face or degeneracy is a one-letter
-word; it compiles each (word, source degree) once per model, and what
-the word means there (defined, zero, or past the truncation) is
-``words.walk`` itself, run on the model's ``max_degree``.  Each compiled
-plan keeps an image table, source label to image label (None for zero),
-filled by ``theta_label`` on first use, so a label's image under a word
-is computed once per model.  ``Model.element`` keeps one shared element
-per (degree, label) for one-label input, so an image is not rebuilt as a
-new element on every call.  ``dump_model`` reads the same rule through
-the one-letter θ.
+word; what the word means at a source degree (defined, zero, or past the
+truncation) is ``words.walk`` itself, run on the model's ``max_degree``.
+A word that is defined or zero there is compiled once per model into a
+plan; a word that fails is not kept, so it walks and raises again on
+every call.  Each plan keeps an image table, source label to image label
+(None for zero), filled by ``theta_label`` on first use, so a label's
+image under a word is computed once per model.  ``Model.element`` keeps
+one shared element per (degree, label) for one-label input, so an image
+is not rebuilt as a new element on every call.  ``dump_model`` reads the
+same rule through the one-letter θ.
+
+``Model.__init__`` declares every per-model table in one place: the
+bases, the plans, the face rows, the shared elements, and the one
+associated complex, which only ``homology.associated_complex`` fills.
 
 The chain complexes read the faces from ``Model.face_rows(q)``: per
 degree-q label, the basis indices of its faces d_0 .. d_q, built once per
@@ -42,13 +47,13 @@ would corrupt cycle checks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import itemgetter
 
 from .words import DEGENERACY, FACE, Word, degeneracy, face, letter_theta, walk
-from .words import OutOfRangeError, TruncationOverflowError  # also re-exported
+from .words import OutOfRangeError, TruncationOverflowError  # re-exported
 
 
 class DegreeMismatchError(Exception):
@@ -97,8 +102,15 @@ class Model:
     """
 
     name: str
-    n: int
-    max_degree: int
+
+    def __init__(self, n: int, max_degree: int):
+        self.n = n
+        self.max_degree = max_degree
+        self._basis: dict[int, tuple] = {}
+        self._plans: dict = {}
+        self._faces: dict[int, tuple] = {}
+        self._elements: dict[tuple, F2Element] = {}
+        self._associated = None  # written by homology.associated_complex
 
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
@@ -166,9 +178,7 @@ class Model:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(w, x.degree)
-        target, gather, fail, table = plan
-        if fail is not None:
-            fail()  # raises a new exception on every call
+        target, gather, table = plan
         if gather is None:
             return self.zero(target)
         images = []
@@ -181,26 +191,22 @@ class Model:
         return self.element(images, target)
 
     def _compile(self, w: Word, m: int) -> tuple:
-        """The word's meaning at degree m: (target, gather, fail, table).
+        """The word's meaning at degree m: (target, gather, table).
 
         ``words.walk`` on this model's ``max_degree`` decides it, whatever
-        the support.  A word it rejects gets ``fail``, that walk bound to
-        its arguments, so every call raises a new OutOfRangeError or
-        TruncationOverflowError and the plan keeps no exception alive.  A
-        word it absorbs into the zero space gets ``gather`` None, the zero
-        map.  Otherwise ``gather`` reads the labels through the θ that
+        the support.  A word it rejects raises OutOfRangeError or
+        TruncationOverflowError from the walk itself, and no plan is kept,
+        so every call walks again and raises a new exception.  A word it
+        absorbs into the zero space gets ``gather`` None, the zero map.
+        Otherwise ``gather`` reads the labels through the θ that
         ``letter_theta`` composes from the letters, rightmost first, and
         ``table``, empty at first, is the plan's image table.
         """
         target = w.target_degree(m)
-        try:
-            absorbed = walk(w.factors, m, self.max_degree) is None
-        except (OutOfRangeError, TruncationOverflowError):
-            return target, None, partial(walk, w.factors, m, self.max_degree), None
-        if absorbed:
-            return target, None, None, None
+        if walk(w.factors, m, self.max_degree) is None:
+            return target, None, None
         theta = reduce(letter_theta, reversed(w.factors), tuple(range(m + 1)))
-        return target, theta_map(theta), None, {}
+        return target, theta_map(theta), {}
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
@@ -221,12 +227,7 @@ class ModuleModel(Model):
     def __init__(self, n: int, max_degree: int):
         if n < 0 or max_degree < 0:
             raise ValueError("n and max_degree must be nonnegative")
-        self.n = n
-        self.max_degree = max_degree
-        self._basis: dict[int, tuple] = {}
-        self._plans: dict = {}
-        self._faces: dict[int, tuple] = {}
-        self._elements: dict[tuple, F2Element] = {}
+        super().__init__(n, max_degree)
 
     def _member(self, label: tuple) -> bool:
         raise NotImplementedError
@@ -353,17 +354,12 @@ class AlgebraModel(Model):
                  quotient: bool = False):
         if poly_bound < 2:
             raise ValueError("poly_bound must be at least 2")
-        self.n = n
-        self.max_degree = max_degree
+        super().__init__(n, max_degree)
         self.poly_bound = poly_bound
         self.quotient = quotient
         self.underlying = SphereModel(n, max_degree)
         tag = ", quotient" if quotient else ""
         self.name = f"SphereAlgebra({n}, P={poly_bound}{tag})"
-        self._basis: dict[int, tuple] = {}
-        self._plans: dict = {}
-        self._faces: dict[int, tuple] = {}
-        self._elements: dict[tuple, F2Element] = {}
 
     def basis(self, degree: int) -> tuple:
         if degree < 0:
@@ -379,8 +375,10 @@ class AlgebraModel(Model):
     def dimension(self, degree):
         if degree < 0:
             return 0
-        s = self.underlying.dimension(degree)
-        return 1 + sum(comb(s + p - 1, p) for p in range(1, self.poly_bound + 1))
+        # monomials of polynomial degree <= P in s generators: the hockey
+        # stick sum of C(s + p - 1, p) over p <= P
+        return comb(self.underlying.dimension(degree) + self.poly_bound,
+                    self.poly_bound)
 
     def monomial_indices(self, degree: int):
         """``basis(degree)`` with each factor replaced by its sphere index.

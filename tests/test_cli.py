@@ -292,7 +292,13 @@ def test_no_subcommand(capsys):
      "4,176,203,136"),
     (("homology", "--model", "delta", "--n", "10", "--max-degree", "20"),
      "44,352,165"),
-], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20"])
+    # past 4,300 digits an int no longer converts to str: the order only
+    (("delta", "--q", "5000", "--i", "5000"), "about 10^6016"),
+    # the closed-form dimension, not a sum over every polynomial degree
+    (("homology", "--model", "sphere-algebra", "--n", "4", "--max-degree", "9",
+      "--poly", "3000000"), "about 10^604"),
+], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20", "delta-5000-5000",
+        "sphere-algebra-poly-3000000"])
 def test_oversized_model_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -318,7 +324,12 @@ def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitte
      "137,846,528,820 terms at bidegree (20, 20)"),
     (("dump-transform", "--name", "shuffle", "--i", "40", "--j", "40"),
      "107,507,208,733,336,176,461,620 terms at bidegree (40, 40)"),
-], ids=["verify-window-40", "dump-shuffle-40-40"])
+    (("verify", "dwyer", "--max-total", "40000", "--max-k", "4"),
+     "about 10^12038 terms at bidegree (20000, 20000)"),
+    (("dump-transform", "--name", "shuffle", "--i", "20000", "--j", "20000"),
+     "about 10^12038 terms at bidegree (20000, 20000)"),
+], ids=["verify-window-40", "dump-shuffle-40-40", "verify-window-40000",
+        "dump-shuffle-20000-20000"])
 def test_oversized_window_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)

@@ -153,31 +153,52 @@ def test_element_vector_roundtrip():
 
 def test_associated_complex_is_shared_per_model():
     dm = delta_model(1, 3)
-    cc = associated_complex(dm, 2)
-    assert associated_complex(dm, 2) is cc
-    assert associated_complex(dm) is associated_complex(dm, dm.max_degree)
-    assert [associated_complex(dm, t).top for t in range(4)] == [0, 1, 2, 3]
-    assert associated_complex(dm, 3) is not cc
+    cc = associated_complex(dm)
+    assert associated_complex(dm) is cc
+    assert cc.top == dm.max_degree
     # an equal but distinct model builds its own complex
     other = delta_model(1, 3)
-    assert associated_complex(other, 2) is not cc
-    assert associated_complex(other, 2).diff == cc.diff
+    assert associated_complex(other) is not cc
+    assert associated_complex(other).diff == cc.diff
+
+
+def test_normalized_complex_leaves_the_associated_complex_unbuilt():
+    dm = delta_model(2, 4)
+    normalized_complex(dm)
+    assert dm._associated is None
+
+
+def test_same_class_reads_one_complex_at_every_degree(monkeypatch):
+    dm = delta_model(1, 3)
+    read = []
+    build = homology.associated_complex
+
+    def record(*args):
+        read.append(build(*args))
+        return read[-1]
+
+    monkeypatch.setattr(homology, "associated_complex", record)
+    assert same_class(dm, dm.element([(0,)], 0), dm.element([(1,)], 0))
+    assert same_class(dm, dm.zero(2), dm.zero(2))
+    assert len(read) == 2 and read[0] is read[1]
+    assert read[0].top == dm.max_degree
 
 
 @pytest.mark.parametrize(
-    "model", [delta_model(1, 3), algebra_model(2, 5, 2)], ids=lambda m: m.name
+    "make", [lambda: delta_model(1, 3), lambda: algebra_model(2, 5, 2)],
+    ids=["Delta(1)", "SphereAlgebra(2, P=2)"],
 )
-def test_shared_complex_verdicts_match_fresh_build(model):
+def test_shared_complex_verdicts_match_fresh_build(make):
+    model = make()
+    fresh = associated_complex(make())
     for q in range(model.max_degree):
         cycles = cycle_subspace(model, q) + [model.zero(q)]
-        shared = associated_complex(model, q + 1)
-        fresh = homology._build_associated(model, q + 1)
-        assert fresh is not shared
         for z1 in cycles:
             for z2 in cycles:
                 v1 = element_vector(model, z1)
                 v2 = element_vector(model, z2)
                 assert same_class(model, z1, z2) == fresh.same_class(q, v1, v2)
+    assert associated_complex(model) is not fresh
 
 
 # -- the label-string construction, kept as the oracle -----------------------

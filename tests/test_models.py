@@ -279,12 +279,24 @@ def test_failing_plan_raises_a_new_exception_each_call(word):
     assert type(first) is type(second)
     assert str(first) == str(second)
     assert vars(first) == vars(second)  # generator and degree, where present
-    # the plan keeps how to fail, not an exception and its frames
+    # no plan keeps an exception and its frames
     assert not any(
         isinstance(part, BaseException)
         for plan in model._plans.values()
         for part in plan
     )
+
+
+@pytest.mark.parametrize("word", ["d5 s0", "s0 d5", "s0 s0"])
+def test_a_failing_word_leaves_no_plan(word):
+    model = delta_model(1, 2)
+    x = model.element([(0, 0, 1)], 2)
+    model.apply_word(parse_word("d0"), x)
+    plans = dict(model._plans)
+    for _ in range(2):
+        with pytest.raises((OutOfRangeError, TruncationOverflowError)):
+            model.apply_word(parse_word(word), x)
+    assert model._plans == plans and len(plans) == 1
 
 
 @settings(max_examples=300)
@@ -535,8 +547,8 @@ def test_image_tables_are_bounded_by_the_basis(monkeypatch):
                     x = tensor(lm.element([la], i), rm.element([lb], j))
                     assert not evaluate_em(t, x, lm, rm).pairs
     for model in (lm, rm):
-        tables = [(m, plan[3]) for (_, m), plan in model._plans.items()
-                  if plan[3] is not None]
+        tables = [(m, table) for (_, m), (_, _, table) in model._plans.items()
+                  if table is not None]
         assert tables
         assert all(len(table) <= model.dimension(m) for m, table in tables)
         assert any(len(table) == model.dimension(m) for m, table in tables)
