@@ -30,10 +30,11 @@ import json
 import os
 import sys
 from functools import partial
-from math import comb, floor, log10
+from math import comb, floor, lgamma, log, log1p, log10
 
 from .homology import associated_complex, normalized_complex
 from .models import (
+    AlgebraModel,
     algebra_model,
     boundary_delta_model,
     delta_model,
@@ -81,15 +82,51 @@ def _count_text(size: int) -> str:
 BASIS_BUDGET = 200_000
 
 
+def _comb_text(n: int, k: int) -> str:
+    """``_count_text(comb(n, k))`` for n over BASIS_BUDGET, without building
+    comb(n, k) when it has more than 31 digits.
+
+    Its logarithm comes from Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x
+    - x + ln(2π)/2 + 1/(12x) - ..., written so that no float overflows:
+    with m = n - k >= n/2, the terms of order 1/m are below 10^-5, and for
+    m beyond the float range the ratio k/m rounds to 0, where
+    log1p(x)/x -> 1.
+    """
+    k = min(k, n - k)
+    m = n - k
+    x = k / m
+    ln = (k * (log1p(x) / x if x else 1.0) * (1 + 1 / (2 * m))
+          + k * log(n) - k - lgamma(k + 1))
+    if ln < 31 * log(10):  # few digits: exact, and printed as before
+        return _count_text(comb(n, k))
+    return f"about 10^{floor(ln / log(10))}"
+
+
 def _check_size(model):
     """Refuse a model whose top-degree basis is over BASIS_BUDGET, from the
-    closed-form dimension, before any basis is built."""
-    size = model.dimension(model.max_degree)
+    closed-form dimension, before any basis is built.
+
+    The algebra's dimension is C(s + P, P) for s sphere generators and the
+    polynomial bound P, an integer of about P log10(s) digits.  Since
+    C(s + P, P) >= s + P when s >= 1, the guard refuses once s + P is over
+    the budget, before that integer is built.  With no generator the
+    dimension is 1, the unit alone.
+    """
+    top = model.max_degree
+    if isinstance(model, AlgebraModel):
+        s, poly = model.underlying.dimension(top), model.poly_bound
+        if s and s + poly > BASIS_BUDGET:
+            _refuse_size(model, _comb_text(s + poly, poly))
+    size = model.dimension(top)
     if size > BASIS_BUDGET:
-        raise _ConfigError(
-            f"{model.name} would have {_count_text(size)} basis elements in degree "
-            f"{model.max_degree}, over the budget of {BASIS_BUDGET:,}"
-        )
+        _refuse_size(model, _count_text(size))
+
+
+def _refuse_size(model, size_text: str):
+    raise _ConfigError(
+        f"{model.name} would have {size_text} basis elements in degree "
+        f"{model.max_degree}, over the budget of {BASIS_BUDGET:,}"
+    )
 
 
 # The largest shuffle-map term count, C(i+j, i) at the top bidegree, that

@@ -18,13 +18,14 @@ for algebra monomials.  The one action on elements is
 word; what the word means at a source degree (defined, zero, or past the
 truncation) is ``words.walk`` itself, run on the model's ``max_degree``.
 A word that is defined or zero there is compiled once per model into a
-plan; a word that fails is not kept, so it walks and raises again on
-every call.  Each plan keeps an image table, source label to image label
-(None for zero), filled by ``theta_label`` on first use, so a label's
-image under a word is computed once per model.  ``Model.element`` keeps
-one shared element per (degree, label) for one-label input, so an image
-is not rebuilt as a new element on every call.  ``dump_model`` reads the
-same rule through the one-letter θ.
+plan, keyed by the word object (words hash by identity) and the degree;
+a word that fails is not kept, so it walks and raises again on every
+call.  ``Model.element`` keeps one shared element per (degree, label)
+for zero and one-label input.  Each plan keeps an image table, source
+label to that shared image element, filled by ``theta_label`` on first
+use, so a label's image under a word is computed once per model, and a
+one-label input on a filled entry is answered by the entry itself.
+``dump_model`` reads the same rule through the one-letter θ.
 
 ``Model.__init__`` declares every per-model table in one place: the
 bases, the plans, the face rows, the shared elements, and the one
@@ -79,9 +80,6 @@ class F2Element:
 
     def __len__(self) -> int:
         return len(self.support)
-
-
-_MISSING = object()  # an image not yet computed
 
 
 def theta_map(theta: tuple):
@@ -169,26 +167,42 @@ class Model:
 
         The plan is made once per (word, source degree) and kept on the
         model; see ``_compile``.  Its image table maps a source label to
-        its image label, None for zero; ``theta_label`` runs only for a
-        label the table has not seen, so the table holds at most the
-        source degree's basis.  The letters are linear, so images are
-        summed mod 2 once, at the end, by ``element``.
+        its image: the shared element ``element`` keeps for that one label
+        in the target degree, or the shared zero.  ``theta_label`` runs
+        only for a label the table has not seen, so the table holds at
+        most the source degree's basis.  A one-label input returns its
+        table entry itself; the images of several labels are summed mod 2
+        once, at the end, by ``element``.
         """
-        key = (w.factors, x.degree)
+        key = (w, x.degree)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(w, x.degree)
         target, gather, table = plan
         if gather is None:
             return self.zero(target)
+        support = x.support
+        if len(support) == 1:
+            (lbl,) = support
+            image = table.get(lbl)
+            if image is None:
+                image = self._image(plan, lbl)
+            return image
         images = []
-        for lbl in x.support:
-            img = table.get(lbl, _MISSING)
-            if img is _MISSING:
-                img = table[lbl] = self.theta_label(gather, lbl)
-            if img is not None:
-                images.append(img)
+        for lbl in support:
+            image = table.get(lbl)
+            if image is None:
+                image = self._image(plan, lbl)
+            images.extend(image.support)
         return self.element(images, target)
+
+    def _image(self, plan: tuple, label) -> F2Element:
+        """A table miss: the label's image by ``theta_label``, stored as
+        the shared one-label element of the target degree, or the zero."""
+        target, gather, table = plan
+        img = self.theta_label(gather, label)
+        image = table[label] = self.element(() if img is None else (img,), target)
+        return image
 
     def _compile(self, w: Word, m: int) -> tuple:
         """The word's meaning at degree m: (target, gather, table).
@@ -497,6 +511,9 @@ def tensor(x: F2Element, y: F2Element) -> TensorElement:
     )
 
 
+_MISSING = object()  # an image evaluate_em has not asked for yet
+
+
 def evaluate_em(
     transform, element: TensorElement, left_model: Model, right_model: Model
 ) -> TensorElement:
@@ -536,7 +553,11 @@ def evaluate_em(
                     lb = rimages[ri] = next(iter(out.support), None)
                 if lb is None:
                     continue
-                acc ^= {(la, lb)}
+                term = (la, lb)
+                if term in acc:  # equal terms cancel in pairs
+                    acc.remove(term)
+                else:
+                    acc.add(term)
     return TensorElement(k, l, frozenset(acc))
 
 

@@ -150,7 +150,11 @@ class EMTransform:
                         nr = normalize(wr, j)
                         if nl.is_zero or nr.is_zero:
                             continue
-                        acc ^= {(nl, nr)}
+                        term = (nl, nr)
+                        if term in acc:  # equal terms cancel in pairs
+                            acc.remove(term)
+                        else:
+                            acc.add(term)
             self._reduced[key] = frozenset(acc)
         return self._reduced[key]
 
@@ -174,7 +178,11 @@ class EMTransform:
                 p, q = other.target(i, j)
                 for fl, fr in self.terms(p, q):
                     for gl, gr in gterms:
-                        acc ^= {(fl * gl, fr * gr)}
+                        term = (fl * gl, fr * gr)
+                        if term in acc:  # equal products cancel in pairs
+                            acc.remove(term)
+                        else:
+                            acc.add(term)
             return acc
 
         return EMTransform(self.index_fn.after(other.index_fn), rule)

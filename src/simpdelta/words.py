@@ -24,10 +24,13 @@ Algebraic Topology*, §1).
 Words are hash-consed (Filliâtre–Conchon, *Type-safe modular
 hash-consing*, 2006): there is one live ``Word`` per distinct factors
 tuple, whichever constructor builds it, and ``copy``, ``deepcopy`` and
-``pickle`` hand back that same object.  The generator check loops over
-the letters only when a word has a letter that never passed it before.
-The normal forms of distinct words are shared the same way, one
-``NormalForm`` per distinct form.
+``pickle`` hand back that same object.  So identity is equality: a word
+hashes and compares as an object, and a cache keyed by words, such as
+``normalize``'s or a model's plans, never hashes a factors tuple.  The
+generator check loops over the letters only when a word has a letter
+that never passed it before.  The normal forms of distinct words are
+shared the same way, one ``NormalForm`` per distinct form; they keep
+value equality, so a form built directly still compares equal.
 """
 
 from __future__ import annotations
@@ -62,17 +65,18 @@ _WORDS: dict[tuple[tuple[str, int], ...], Word] = {}
 _LETTERS: set[tuple[str, int]] = set()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Word:
     """An ordered tuple of generators; ``factors[-1]`` applies first.
 
     Words are hash-consed: ``Word(factors)`` returns the one live word with
-    those factors, so equal words are one object and compare by identity
-    first.  Every call still runs ``__post_init__``, which returns at once
-    for a registered word; for a new one, its letter check loops only when
-    some letter has not passed it before.  A word joins the table only
-    once it is valid, and an existing word is never written to.  Copying
-    or unpickling a word returns the shared object.
+    those factors, so equal words are one object, and a word hashes and
+    compares by identity (``object``'s ``__hash__`` and ``__eq__``), never
+    by its factors.  Every call still runs ``__post_init__`` once, which
+    returns at once for a registered word; for a new one, its letter check
+    loops only when some letter has not passed it before.  A word joins
+    the table only once it is valid, and an existing word is never written
+    to.  Copying or unpickling a word returns the shared object.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -82,10 +86,8 @@ class Word:
         if word is None:
             word = object.__new__(cls)
             object.__setattr__(word, "factors", factors)
+        word.__post_init__()
         return word
-
-    def __init__(self, factors: tuple[tuple[str, int], ...] = ()):
-        self.__post_init__()
 
     def __post_init__(self):
         factors = self.factors
@@ -306,10 +308,11 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
 
 
 @lru_cache(maxsize=None)
-def _normalize(factors: tuple[tuple[str, int], ...], source_degree: int) -> NormalForm:
-    if walk(factors, source_degree) is None:
+def _normalize(word: Word, source_degree: int) -> NormalForm:
+    # keyed by the shared Word, which hashes by identity, not its factors
+    if walk(word.factors, source_degree) is None:
         return ZERO_FORM
-    return _formal_normal_form(factors)
+    return _formal_normal_form(word.factors)
 
 
 def normalize(word: Word, source_degree: int) -> NormalForm:
@@ -317,4 +320,4 @@ def normalize(word: Word, source_degree: int) -> NormalForm:
 
     Raises OutOfRangeError when the word is not defined there.
     """
-    return _normalize(word.factors, source_degree)
+    return _normalize(word, source_degree)

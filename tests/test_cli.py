@@ -297,8 +297,14 @@ def test_no_subcommand(capsys):
     # the closed-form dimension, not a sum over every polynomial degree
     (("homology", "--model", "sphere-algebra", "--n", "4", "--max-degree", "9",
       "--poly", "3000000"), "about 10^604"),
+    # comb(s + P, P) with both s and P huge is never built
+    (("delta", "--q", "5000", "--i", "5000", "--poly", "3000000"),
+     "about 10^9007380133"),
+    (("homology", "--model", "sphere-algebra", "--n", "200", "--max-degree", "400",
+      "--poly", "100000000"), "about 10^11144693133"),
 ], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20", "delta-5000-5000",
-        "sphere-algebra-poly-3000000"])
+        "sphere-algebra-poly-3000000", "delta-5000-5000-poly-3000000",
+        "sphere-algebra-200-poly-100000000"])
 def test_oversized_model_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -306,6 +312,22 @@ def test_oversized_model_exits_2_at_once(capsys, argv, size):
     assert code == 2
     assert out == ""
     assert size in err and f"budget of {cli.BASIS_BUDGET:,}" in err
+
+
+@pytest.mark.parametrize("n, k", [
+    (200_001, 1), (200_001, 200_000), (200_002, 2), (300_000, 5),
+    (300_000, 6), (300_000, 7), (3_000_126, 126), (400_000, 1_000), (400_000, 200_000),
+])
+def test_size_estimate_is_the_exact_count_text(n, k):
+    # past the budget: exact below 10^30, else the order of magnitude
+    assert cli._comb_text(n, k) == cli._count_text(math.comb(n, k))
+
+
+def test_an_algebra_without_generators_passes_the_guard():
+    # no sphere label in degree 3 < n: the unit is the whole basis, C(P, P)
+    model = algebra_model(5, 3, 300_000)
+    assert model.underlying.dimension(3) == 0 and model.dimension(3) == 1
+    cli._check_size(model)
 
 
 @pytest.mark.parametrize("q, i, poly, admitted", [

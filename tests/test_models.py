@@ -357,6 +357,26 @@ def test_one_label_elements_are_shared(model):
     assert img is model.element([lbl], q + 1)
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_a_table_hit_is_a_read_of_the_shared_image(model, monkeypatch):
+    q = model.n
+    filled = []
+    for w in (face(0), degeneracy(0)):  # zero and nonzero images among them
+        target = w.target_degree(q)
+        for lbl in model.basis(q)[:3]:
+            x = model.element([lbl], q)
+            first = model.apply_word(w, x)
+            _, _, table = model._plans[(w, q)]
+            assert table[lbl] is first
+            assert first is model.element(list(first.support), target)
+            filled.append((w, x, first))
+    calls = []
+    monkeypatch.setattr(Model, "element", lambda *args: calls.append(args))
+    for w, x, first in filled:
+        assert model.apply_word(w, x) is first
+    assert calls == []
+
+
 def test_algebra_basis_and_unit():
     am = algebra_model(2, 5, 2)
     z = am.fundamental_class()

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from simpdelta.transforms import (
+    EMTransform,
     IndexFunction,
     IndexMismatchError,
     boundary_left,
@@ -133,6 +134,17 @@ def test_reduction_cancels_equal_normal_forms():
     assert pair.reduced(1, 1) == frozenset()
     triple = pair + word_pair(parse_word("d0 s0"), Word())
     assert reduced_strs(triple, 1, 1) == [("id", "id")]
+
+
+def test_composition_cancels_a_product_made_twice():
+    # d0 d1 * s0 and d0 * d1 s0 are both d0 d1 s0: made twice, it cancels
+    left = IndexFunction(((1, 0, -1), (0, 1, 0)))
+    f = EMTransform(left, lambda i, j: {
+        (parse_word("d0 d1"), Word()), (face(0), Word())})
+    g = EMTransform(IndexFunction(((1, 0, 1), (0, 1, 0))), lambda i, j: {
+        (parse_word("s0"), Word()), (parse_word("d1 s0"), Word())})
+    assert (f * g).terms(2, 1) == {
+        (parse_word("d0 d1 d1 s0"), Word()), (parse_word("d0 s0"), Word())}
 
 
 def test_composition_index_arithmetic():

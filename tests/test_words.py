@@ -149,6 +149,20 @@ def test_every_constructor_returns_the_shared_word():
     assert face(1) * IDENTITY is face(1)
 
 
+def test_words_hash_and_compare_by_identity():
+    assert Word.__hash__ is object.__hash__
+    assert Word.__eq__ is object.__eq__
+    w = parse_word("s2 d1")
+    built = {
+        w,
+        degeneracy(2) * face(1),
+        parse_word("s1 d0").suspend(),
+        Word(_copy_of(w.factors)),
+        normalize(w, 3).word(),
+    }
+    assert len(built) == 1 and w in built
+
+
 def test_an_existing_word_is_never_written():
     w = parse_word("s3 s1 d0")
     factors = w.factors
