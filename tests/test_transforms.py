@@ -138,8 +138,7 @@ def test_reduction_cancels_equal_normal_forms():
 
 def test_composition_cancels_a_product_made_twice():
     # d0 d1 * s0 and d0 * d1 s0 are both d0 d1 s0: made twice, it cancels
-    left = IndexFunction(((1, 0, -1), (0, 1, 0)))
-    f = EMTransform(left, lambda i, j: {
+    f = EMTransform(IndexFunction(((1, 0, -1), (0, 1, 0))), lambda i, j: {
         (parse_word("d0 d1"), Word()), (face(0), Word())})
     g = EMTransform(IndexFunction(((1, 0, 1), (0, 1, 0))), lambda i, j: {
         (parse_word("s0"), Word()), (parse_word("d1 s0"), Word())})
