@@ -30,11 +30,13 @@ import json
 import os
 import sys
 from functools import partial
-from math import comb, floor, lgamma, log, log1p, log10
+from math import comb, exp, floor, lgamma, log, log1p, log10
 
 from .homology import associated_complex, normalized_complex
 from .models import (
     AlgebraModel,
+    BoundaryDeltaModel,
+    SphereModel,
     algebra_model,
     boundary_delta_model,
     delta_model,
@@ -82,41 +84,99 @@ def _count_text(size: int) -> str:
 BASIS_BUDGET = 200_000
 
 
-def _comb_text(n: int, k: int) -> str:
-    """``_count_text(comb(n, k))`` for n over BASIS_BUDGET, without building
-    comb(n, k) when it has more than 31 digits.
+def _ln_stirling(k: int, ln_m: float) -> float:
+    """ln C(m + k, k) for k >= 1 and m over BASIS_BUDGET / 2, where m is
+    given by its natural logarithm and may be far past the float range.
 
-    Its logarithm comes from Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x
-    - x + ln(2π)/2 + 1/(12x) - ..., written so that no float overflows:
-    with m = n - k >= n/2, the terms of order 1/m are below 10^-5, and for
-    m beyond the float range the ratio k/m rounds to 0, where
-    log1p(x)/x -> 1.
+    It comes from Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x - x +
+    ln(2π)/2 + 1/(12x) - ..., for (m + k)! and m!, and lgamma for k!,
+    written so that no float overflows: the dropped terms of order 1/m are
+    below 10^-5, and for m beyond the float range the ratio x = k/m rounds
+    to 0, where log1p(x)/x -> 1.
     """
-    k = min(k, n - k)
-    m = n - k
-    x = k / m
-    ln = (k * (log1p(x) / x if x else 1.0) * (1 + 1 / (2 * m))
-          + k * log(n) - k - lgamma(k + 1))
-    if ln < 31 * log(10):  # few digits: exact, and printed as before
-        return _count_text(comb(n, k))
+    x = exp(log(k) - ln_m)
+    return (k * (log1p(x) / x if x else 1.0) * (1 + exp(-ln_m) / 2)
+            + k * (ln_m + log1p(x)) - k - lgamma(k + 1))
+
+
+def _ln_text(ln: float, exact) -> str:
+    """The size text of a count whose natural logarithm is ``ln``: from the
+    exact count ``exact()`` when it has at most 31 digits, so that messages
+    below 10^30 read as ``_count_text`` writes them, else its order of
+    magnitude, and then ``exact`` is not called."""
+    if ln < 31 * log(10):
+        return _count_text(exact())
     return f"about 10^{floor(ln / log(10))}"
+
+
+def _comb_text(n: int, k: int) -> str:
+    """``_count_text(comb(n, k))`` for n over BASIS_BUDGET and 1 <= k < n,
+    without building comb(n, k) when it has more than 31 digits."""
+    k = min(k, n - k)
+    return _ln_text(_ln_stirling(k, log(n - k)), partial(comb, n, k))
+
+
+def _ln_comb_past_budget(a: int, b: int) -> float | None:
+    """ln C(a, b) when C(a, b) >= a > BASIS_BUDGET, which holds for
+    1 <= b < a, so the budget is passed before any binomial is built;
+    else None."""
+    if not (1 <= b < a and a > BASIS_BUDGET):
+        return None
+    k = min(b, a - b)
+    return _ln_stirling(k, log(a - k))
+
+
+def _module_ln(model, degree: int) -> float | None:
+    """ln of a module model's dimension in ``degree`` when a lower bound of
+    its closed form is already over BASIS_BUDGET, else None, and then
+    ``math.comb`` builds the exact count at once.
+
+    Delta(n) has C(n + d + 1, d + 1) labels in degree d and Sphere(n) has
+    C(d, n).  The boundary holds the labels that miss the last vertex,
+    C(n + d, d + 1), and at most n + 1 times as many, and no more than
+    Delta(n); its estimate is the smaller upper bound.
+    """
+    n, d = model.n, degree
+    if isinstance(model, SphereModel):
+        return _ln_comb_past_budget(d, n)
+    if isinstance(model, BoundaryDeltaModel):
+        low = _ln_comb_past_budget(n + d, d + 1)
+        if low is None:
+            return None
+        return min(low + log(n + 1), _ln_comb_past_budget(n + d + 1, d + 1))
+    return _ln_comb_past_budget(n + d + 1, d + 1)
 
 
 def _check_size(model):
     """Refuse a model whose top-degree basis is over BASIS_BUDGET, from the
     closed-form dimension, before any basis is built.
 
+    A module model's dimension is a binomial C(a, b), and ``math.comb``
+    takes tens of seconds when both b and a - b are near a million.  Since
+    C(a, b) >= a for 1 <= b < a, the guard refuses once a is over the
+    budget, with an estimate from ``lgamma``, before that integer is built.
+
     The algebra's dimension is C(s + P, P) for s sphere generators and the
     polynomial bound P, an integer of about P log10(s) digits.  Since
     C(s + P, P) >= s + P when s >= 1, the guard refuses once s + P is over
-    the budget, before that integer is built.  With no generator the
-    dimension is 1, the unit alone.
+    the budget, before that integer is built; when s itself has more than
+    31 digits, before s is built.  With no generator the dimension is 1,
+    the unit alone.
     """
     top = model.max_degree
     if isinstance(model, AlgebraModel):
-        s, poly = model.underlying.dimension(top), model.poly_bound
+        sphere, poly = model.underlying, model.poly_bound
+        ln_s = _module_ln(sphere, top)
+        if ln_s is not None and ln_s >= 31 * log(10):
+            # C(s + P, P) >= s > 10^30: only its order of magnitude is read
+            _refuse_size(model, _ln_text(_ln_stirling(poly, ln_s), None))
+        s = sphere.dimension(top)
         if s and s + poly > BASIS_BUDGET:
             _refuse_size(model, _comb_text(s + poly, poly))
+    else:
+        ln = _module_ln(model, top)
+        if ln is not None:
+            _refuse_size(model, _ln_text(ln, partial(model.dimension, top)))
     size = model.dimension(top)
     if size > BASIS_BUDGET:
         _refuse_size(model, _count_text(size))

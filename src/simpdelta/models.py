@@ -381,7 +381,7 @@ class AlgebraModel(Model):
         if degree not in self._basis:
             gens = self.underlying.basis(degree)
             monos = [()]
-            for p in range(1, self.poly_bound + 1):
+            for p in range(1, self._top_length(gens) + 1):
                 monos.extend(combinations_with_replacement(gens, p))
             self._basis[degree] = tuple(monos)
         return self._basis[degree]
@@ -404,8 +404,14 @@ class AlgebraModel(Model):
         gens = range(len(self.underlying.basis(degree)))
         return chain([()], *(
             combinations_with_replacement(gens, p)
-            for p in range(1, self.poly_bound + 1)
+            for p in range(1, self._top_length(gens) + 1)
         ))
+
+    def _top_length(self, gens) -> int:
+        """The longest monomial on these generators: the polynomial bound,
+        or 0 when there is no generator and the unit is the whole basis
+        (a loop to the bound would then build nothing in O(P^2) time)."""
+        return self.poly_bound if gens else 0
 
     def _face_table(self, q: int) -> tuple:
         """The sphere's face table factor by factor, on index tuples.

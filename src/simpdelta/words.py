@@ -25,18 +25,24 @@ Words are hash-consed (Filliâtre–Conchon, *Type-safe modular
 hash-consing*, 2006): there is one live ``Word`` per distinct factors
 tuple, whichever constructor builds it, and ``copy``, ``deepcopy`` and
 ``pickle`` hand back that same object.  So identity is equality: a word
-hashes and compares as an object, and a cache keyed by words, such as
-``normalize``'s or a model's plans, never hashes a factors tuple.  The
-generator check loops over the letters only when a word has a letter
-that never passed it before.  The normal forms of distinct words are
-shared the same way, one ``NormalForm`` per distinct form; they keep
-value equality, so a form built directly still compares equal.
+hashes and compares as an object, and a cache keyed by words, such as a
+model's plans, never hashes a factors tuple.  The generator check loops
+over the letters only when a word has a letter that never passed it
+before.  Normal forms are hash-consed the same way, one ``NormalForm``
+per distinct form, and compare by identity too.
+
+A word's epi-mono form does not depend on the degree, only whether the
+word reaches it does.  So each word carries its form and its floor: the
+lowest source degree from which the walk neither raises nor lands in the
+zero space.  Both are filled by the word's first ``normalize``; from the
+floor up, ``normalize`` returns the form at once, and below it the walk
+decides as before.  No memo is kept per (word, degree), and a word refers
+to its form but never the other way, so no reference cycle is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 FACE = "d"
 DEGENERACY = "s"
@@ -59,9 +65,10 @@ class TruncationOverflowError(Exception):
     """A computation left the representable range of a truncated model."""
 
 
-# The one live Word per factors tuple, and every letter that passed the
-# generator check.  Like the normalize caches below, they are never cleared.
+# The one live Word per factors tuple, the one live NormalForm per form,
+# and every letter that passed the generator check.  They are never cleared.
 _WORDS: dict[tuple[tuple[str, int], ...], Word] = {}
+_FORMS: dict[tuple[tuple[int, ...], tuple[int, ...], bool], NormalForm] = {}
 _LETTERS: set[tuple[str, int]] = set()
 
 
@@ -75,30 +82,40 @@ class Word:
     by its factors.  Every call still runs ``__post_init__`` once, which
     returns at once for a registered word; for a new one, its letter check
     loops only when some letter has not passed it before.  A word joins
-    the table only once it is valid, and an existing word is never written
-    to.  Copying or unpickling a word returns the shared object.
+    the table only once it is valid.  Its factors are never rewritten;
+    ``normalize`` fills its form and floor once.  Copying or unpickling a
+    word returns the shared object.
     """
 
     factors: tuple[tuple[str, int], ...]
+    # Private slots, not constructor fields: the registration flag, and
+    # the formal normal form and floor degree (None until the first
+    # ``normalize``).
+    _registered: bool
+    _form: NormalForm | None
+    _floor: int
 
     def __new__(cls, factors: tuple[tuple[str, int], ...] = ()):
         word = _WORDS.get(factors)
         if word is None:
             word = object.__new__(cls)
             object.__setattr__(word, "factors", factors)
+            object.__setattr__(word, "_registered", False)
+            object.__setattr__(word, "_form", None)
         word.__post_init__()
         return word
 
     def __post_init__(self):
-        factors = self.factors
-        if _WORDS.get(factors) is self:  # registered, so already checked
+        if self._registered:  # already checked
             return
+        factors = self.factors
         if not _LETTERS.issuperset(factors):
             for kind, index in factors:
                 if kind not in (FACE, DEGENERACY) or index < 0:
                     raise ValueError(f"bad generator {(kind, index)!r}")
             _LETTERS.update(factors)
-        _WORDS.setdefault(factors, self)
+        _WORDS[factors] = self
+        object.__setattr__(self, "_registered", True)
 
     def __reduce__(self):
         return (Word, (self.factors,))
@@ -162,18 +179,37 @@ def parse_word(text: str) -> Word:
     return Word(tuple(factors))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class NormalForm:
     """Epi-mono normal form, or the distinguished zero form.
 
     ``degeneracies`` is strictly decreasing as written, ``faces`` strictly
     increasing; ``is_zero`` marks a word whose action annihilates the degree
     because some intermediate target degree is negative.
+
+    Forms are hash-consed like words: ``NormalForm(...)`` returns the one
+    live form with those fields, so equal forms are one object and hash
+    and compare by identity.  Copying or unpickling a form returns it.
     """
 
     degeneracies: tuple[int, ...]
     faces: tuple[int, ...]
-    is_zero: bool = False
+    is_zero: bool
+
+    def __new__(cls, degeneracies: tuple[int, ...] = (),
+                faces: tuple[int, ...] = (), is_zero: bool = False):
+        key = (degeneracies, faces, is_zero)
+        form = _FORMS.get(key)
+        if form is None:
+            form = object.__new__(cls)
+            object.__setattr__(form, "degeneracies", degeneracies)
+            object.__setattr__(form, "faces", faces)
+            object.__setattr__(form, "is_zero", is_zero)
+            _FORMS[key] = form
+        return form
+
+    def __reduce__(self):
+        return (NormalForm, (self.degeneracies, self.faces, self.is_zero))
 
     def word(self) -> Word:
         if self.is_zero:
@@ -196,9 +232,6 @@ class NormalForm:
 
 
 ZERO_FORM = NormalForm((), (), True)
-
-# The one NormalForm per (degeneracies, faces) that _formal_normal_form returns.
-_FORMS: dict[tuple[tuple[int, ...], tuple[int, ...]], NormalForm] = {}
 
 
 def letter_theta(theta: tuple, generator) -> tuple:
@@ -254,8 +287,15 @@ def is_defined(word: Word, source_degree: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
+def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> tuple[NormalForm, int]:
+    """The word's epi-mono form, whatever the degree, and its floor.
+
+    The floor is the lowest source degree m from which ``walk`` neither
+    raises nor absorbs.  A letter applied after letters that shift the
+    degree by ``offset`` sees degree m + offset: it is in range when
+    m >= index - offset, and a face leaves a nonnegative degree when
+    m >= -(offset - 1).  The floor is the largest of these, and 0.
+    """
     # Insertion-based rewriting, one generator at a time from the right.
     # The oriented rules are the simplicial identities:
     #   s_r s_j = s_{j+1} s_r        (r <= j)
@@ -265,8 +305,12 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
     #   d_r d_j = d_j d_{r+1}        (r >= j)
     degens: list[int] = []  # strictly decreasing as written
     faces: list[int] = []  # strictly increasing as written
+    floor = offset = 0
     for kind, r in reversed(factors):
+        if r - offset > floor:
+            floor = r - offset
         if kind == DEGENERACY:
+            offset += 1
             out: list[int] = []
             k = 0
             while k < len(degens) and r <= degens[k]:
@@ -276,6 +320,9 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
             out.extend(degens[k:])
             degens = out
         else:
+            offset -= 1
+            if -offset > floor:
+                floor = -offset
             pos = 0
             alive = True
             while pos < len(degens):
@@ -300,24 +347,22 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> NormalForm:
                 out.append(r)
                 out.extend(faces[k:])
                 faces = out
-    key = (tuple(degens), tuple(faces))
-    form = _FORMS.get(key)
-    if form is None:
-        form = _FORMS[key] = NormalForm(*key)
-    return form
-
-
-@lru_cache(maxsize=None)
-def _normalize(word: Word, source_degree: int) -> NormalForm:
-    # keyed by the shared Word, which hashes by identity, not its factors
-    if walk(word.factors, source_degree) is None:
-        return ZERO_FORM
-    return _formal_normal_form(word.factors)
+    return NormalForm(tuple(degens), tuple(faces)), floor
 
 
 def normalize(word: Word, source_degree: int) -> NormalForm:
     """Normal form of the word's action on the given source degree.
 
-    Raises OutOfRangeError when the word is not defined there.
+    Raises OutOfRangeError when the word is not defined there.  From the
+    word's floor up this is the word's form; below it the walk decides.
     """
-    return _normalize(word, source_degree)
+    form = word._form
+    if form is None:
+        form, floor = _formal_normal_form(word.factors)
+        object.__setattr__(word, "_form", form)
+        object.__setattr__(word, "_floor", floor)
+    if source_degree >= word._floor:
+        return form
+    if walk(word.factors, source_degree) is None:
+        return ZERO_FORM
+    return form

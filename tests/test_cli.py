@@ -11,7 +11,12 @@ import pytest
 
 from simpdelta import cli
 from simpdelta.cli import main
-from simpdelta.models import algebra_model
+from simpdelta.models import (
+    algebra_model,
+    boundary_delta_model,
+    delta_model,
+    sphere_model,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -302,9 +307,18 @@ def test_no_subcommand(capsys):
      "about 10^9007380133"),
     (("homology", "--model", "sphere-algebra", "--n", "200", "--max-degree", "400",
       "--poly", "100000000"), "about 10^11144693133"),
+    # module dimensions past the budget by C(a, b) >= a: no math.comb built
+    (("delta", "--q", "1000000", "--i", "1000000"), "about 10^1204113"),
+    (("homology", "--model", "delta", "--n", "1000000", "--max-degree", "1000000"),
+     "about 10^602057"),
+    (("homology", "--model", "boundary", "--n", "1000000", "--max-degree", "1000000"),
+     "about 10^602057"),
+    (("homology", "--model", "sphere", "--n", "1000000", "--max-degree", "2000000"),
+     "about 10^602056"),
 ], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20", "delta-5000-5000",
         "sphere-algebra-poly-3000000", "delta-5000-5000-poly-3000000",
-        "sphere-algebra-200-poly-100000000"])
+        "sphere-algebra-200-poly-100000000", "delta-1000000-1000000",
+        "delta-model-1000000", "boundary-model-1000000", "sphere-model-1000000"])
 def test_oversized_model_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -321,6 +335,46 @@ def test_oversized_model_exits_2_at_once(capsys, argv, size):
 def test_size_estimate_is_the_exact_count_text(n, k):
     # past the budget: exact below 10^30, else the order of magnitude
     assert cli._comb_text(n, k) == cli._count_text(math.comb(n, k))
+
+
+@pytest.mark.parametrize("build, n, degree", [
+    (delta_model, 300_000, 2), (delta_model, 200_000, 8), (delta_model, 300_000, 12),
+    (sphere_model, 5, 300_000), (sphere_model, 12, 300_000),
+    (sphere_model, 299_995, 300_000),
+    (boundary_delta_model, 200_000, 1), (boundary_delta_model, 3, 400_000),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_module_estimate_is_the_exact_count_text(build, n, degree):
+    # past the budget by the lower bound: exact below 10^30, else the order
+    model = build(n, degree)
+    with pytest.raises(cli._ConfigError) as info:
+        cli._check_size(model)
+    size = cli._count_text(model.dimension(degree))
+    assert f" {size} basis elements" in str(info.value)
+
+
+@pytest.mark.parametrize("n", [10, 100, 3000, 30_000])
+def test_boundary_estimate_is_within_an_order_of_its_count(n):
+    # the boundary's estimate is an upper bound, off by a small factor
+    degree = 300_000
+    size = boundary_delta_model(n, degree).dimension(degree)
+    log10_size = math.log10(size >> (size.bit_length() - 64)) + (
+        size.bit_length() - 64) * math.log10(2)
+    estimate = cli._module_ln(boundary_delta_model(n, degree), degree) / math.log(10)
+    assert log10_size <= estimate < log10_size + 1
+
+
+def test_an_algebra_without_generators_runs_at_once(capsys):
+    # no sphere label below degree 5: the unit is the whole basis, and no
+    # loop runs to the polynomial bound
+    t0 = perf_counter()
+    code, out, err = run(capsys, "homology", "--model", "sphere-algebra", "--n", "5",
+                         "--max-degree", "3", "--poly", "300000")
+    assert perf_counter() - t0 < 1
+    assert code == 0 and err == ""
+    assert out == run(capsys, "homology", "--model", "sphere-algebra", "--n", "5",
+                      "--max-degree", "3", "--poly", "2")[1]
+    model = algebra_model(5, 3, 300_000)
+    assert model.basis(3) == ((),) and list(model.monomial_indices(3)) == [()]
 
 
 def test_an_algebra_without_generators_passes_the_guard():

@@ -5,13 +5,17 @@ standard simplex, written independently of the package internals, so the
 rewriting engine is tested against the definition rather than itself.
 """
 
+import contextlib
 import copy
+import io
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from simpdelta import words
+from normalize_oracle import oracle_floor, oracle_normalize
+from simpdelta import cli, words
 from simpdelta.words import (
     IDENTITY,
     ZERO_FORM,
@@ -250,6 +254,105 @@ def test_equal_normal_forms_are_one_object():
     assert normalize(parse_word("d1 s0"), 2) is normalize(IDENTITY, 2)
     assert normalize(parse_word("d3 s0"), 3) is normalize(parse_word("s0 d2"), 3)
     assert normalize(parse_word("d0 d0"), 1) is ZERO_FORM
+
+
+def test_a_form_built_directly_is_the_shared_form():
+    w = parse_word("s2 s0 d1")
+    nf = normalize(w, 3)
+    assert NormalForm((2, 0), (1,)) is nf
+    assert NormalForm(degeneracies=(2, 0), faces=(1,)) is nf
+    assert NormalForm(tuple([2, 0]), tuple([1])) is nf
+    assert NormalForm((), (), True) is ZERO_FORM
+    assert NormalForm((), ()) is normalize(IDENTITY, 0)
+    assert nf.suspend() is normalize(w.suspend(), 4)
+
+
+def test_forms_hash_and_compare_by_identity():
+    assert NormalForm.__hash__ is object.__hash__
+    assert NormalForm.__eq__ is object.__eq__
+    nf = normalize(parse_word("s1 d0"), 2)
+    built = {nf, NormalForm((1,), (0,)), normalize(parse_word("d0 s2"), 2)}
+    assert len(built) == 1 and nf in built
+    assert ZERO_FORM not in built
+
+
+def test_copies_and_pickles_are_the_shared_form():
+    for nf in (normalize(parse_word("s3 s1 d0 d2"), 4), ZERO_FORM):
+        assert copy.copy(nf) is nf
+        assert copy.deepcopy(nf) is nf
+        assert copy.deepcopy([nf, (nf, 1)])[1][0] is nf
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(nf, protocol)) is nf
+
+
+def _tables():
+    return {name: len(value) for name, value in vars(words).items()
+            if isinstance(value, (dict, set, list))}
+
+
+def test_normalizing_at_many_degrees_adds_to_no_table():
+    # a floor of 4: d4 needs degree 4, and both faces out of degree 1 absorb
+    w = parse_word("s0 d0 d4")
+    assert normalize(w, 4) is NormalForm((0,), (0, 4))
+    assert w._floor == 4
+    tables = _tables()
+    assert "_FORMS" in tables and "_WORDS" in tables
+    assert not hasattr(normalize, "cache_info")
+    outcomes = set()
+    for m in range(10_000):
+        try:
+            outcomes.add(normalize(w, m))
+        except OutOfRangeError:
+            outcomes.add(None)
+    assert outcomes == {None, NormalForm((0,), (0, 4))}
+    assert _tables() == tables
+
+
+def _random_word(rng):
+    return Word(tuple(
+        (rng.choice("ds"), rng.randrange(9)) for _ in range(rng.randrange(11))
+    ))
+
+
+def test_normalize_matches_the_oracle_at_every_degree():
+    # seeded words; each is first normalized at a random degree, so the form
+    # and floor are filled from below, at and above the floor alike
+    rng = random.Random(20061)
+    for _ in range(3000):
+        w = _random_word(rng)
+        top = len(w.factors) + max((r for _, r in w.factors), default=0)
+        degrees = list(range(top + 2))
+        rng.shuffle(degrees)
+        for m in degrees:
+            try:
+                want = oracle_normalize(w, m)
+            except OutOfRangeError as expected:
+                with pytest.raises(OutOfRangeError) as info:
+                    normalize(w, m)
+                assert info.value.generator == expected.generator
+                assert info.value.degree == expected.degree
+            else:
+                assert normalize(w, m) is want
+        floor = oracle_floor(w, top)
+        assert w._floor == floor
+        assert normalize(w, floor) is w._form
+        if floor:
+            with contextlib.suppress(OutOfRangeError):
+                assert normalize(w, floor - 1) is ZERO_FORM
+
+
+def test_suspension_commutes_with_normalize_on_the_sweep_words():
+    # the premise of keeping a term as its normal forms: from its floor up,
+    # a word's form suspends to the form of the suspended word one degree up
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "dwyer", "--max-total", "10"]) == 0
+    swept = list(words._WORDS.values())
+    assert len(swept) > 20_000
+    for w in swept:
+        normalize(w, len(w.factors) + max((r for _, r in w.factors), default=0))
+        floor = w._floor
+        for m in (floor, floor + 1):
+            assert normalize(w.suspend(), m + 1) is normalize(w, m).suspend()
 
 
 def test_normal_form_word_shape():
