@@ -5,6 +5,11 @@ output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
 configuration, a model or a window over its size budget, or an output
 file that cannot be written.
 
+Size guard: each budget below is checked against a closed form in log
+space (``Model.ln_dimension``, ``models.ln_binomial``) before anything is
+built, and one function, ``_refuse_over``, refuses it with exit 2 and the
+count, exact below 10^30.
+
 ``main`` runs each subcommand with Python's cyclic garbage collector
 paused, and restores the caller's setting when it returns.  Words, normal
 forms, transform terms, model tables and matrices refer to one another
@@ -30,18 +35,11 @@ import json
 import os
 import sys
 from functools import partial
-from math import comb, exp, floor, lgamma, log, log1p, log10
+from math import comb, floor, inf, log, log10
 
 from .homology import associated_complex, normalized_complex
-from .models import (
-    AlgebraModel,
-    BoundaryDeltaModel,
-    SphereModel,
-    algebra_model,
-    boundary_delta_model,
-    delta_model,
-    sphere_model,
-)
+from .models import (algebra_model, boundary_delta_model, delta_model, ln_binomial,
+                     sphere_model)
 from .operations import delta_report
 from .relations import FAMILIES, check_relation, relation_names
 from .transforms import (
@@ -66,15 +64,19 @@ class _ConfigError(Exception):
     pass
 
 
-def _count_text(size: int) -> str:
-    """A size estimate for a refusal message: exact with thousands
-    separators up to 30 digits, else its order of magnitude, taken from
-    the bit length, since converting a very long int to a string is slow
-    and past 4,300 digits refused by Python."""
-    if size < 10**30:
-        return f"{size:,}"
-    shift = size.bit_length() - 64
-    return f"about 10^{floor(log10(size >> shift) + shift * log10(2))}"
+def _refuse_over(budget: int, ln: float, exact, what: str):
+    """Refuse a count over ``budget`` whose natural log is ``ln``, with
+    ``what``, the message with ``{}`` where the count goes.  The exact count
+    ``exact()`` is built only when ``ln`` puts it below 10^31, and shown
+    below 10^30; else the message shows the order of magnitude from ``ln``."""
+    if ln < 31 * log(10):
+        size = exact()
+        if size <= budget:
+            return
+        text = f"{size:,}" if size < 10**30 else f"about 10^{floor(log10(size))}"
+    else:
+        text = f"about 10^{floor(ln / log(10))}" if ln < inf else "more than 10^308"
+    raise _ConfigError(f"{what.format(text)}, over the budget of {budget:,}")
 
 
 # The largest top-degree basis that `delta` and `homology` will build.  It
@@ -83,110 +85,24 @@ def _count_text(size: int) -> str:
 # minutes before its first elimination.
 BASIS_BUDGET = 200_000
 
-
-def _ln_stirling(k: int, ln_m: float) -> float:
-    """ln C(m + k, k) for k >= 1 and m over BASIS_BUDGET / 2, where m is
-    given by its natural logarithm and may be far past the float range.
-
-    It comes from Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x - x +
-    ln(2π)/2 + 1/(12x) - ..., for (m + k)! and m!, and lgamma for k!,
-    written so that no float overflows: the dropped terms of order 1/m are
-    below 10^-5, and for m beyond the float range the ratio x = k/m rounds
-    to 0, where log1p(x)/x -> 1.
-    """
-    x = exp(log(k) - ln_m)
-    return (k * (log1p(x) / x if x else 1.0) * (1 + exp(-ln_m) / 2)
-            + k * (ln_m + log1p(x)) - k - lgamma(k + 1))
-
-
-def _ln_text(ln: float, exact) -> str:
-    """The size text of a count whose natural logarithm is ``ln``: from the
-    exact count ``exact()`` when it has at most 31 digits, so that messages
-    below 10^30 read as ``_count_text`` writes them, else its order of
-    magnitude, and then ``exact`` is not called."""
-    if ln < 31 * log(10):
-        return _count_text(exact())
-    return f"about 10^{floor(ln / log(10))}"
-
-
-def _comb_text(n: int, k: int) -> str:
-    """``_count_text(comb(n, k))`` for n over BASIS_BUDGET and 1 <= k < n,
-    without building comb(n, k) when it has more than 31 digits."""
-    k = min(k, n - k)
-    return _ln_text(_ln_stirling(k, log(n - k)), partial(comb, n, k))
-
-
-def _ln_comb_past_budget(a: int, b: int) -> float | None:
-    """ln C(a, b) when C(a, b) >= a > BASIS_BUDGET, which holds for
-    1 <= b < a, so the budget is passed before any binomial is built;
-    else None."""
-    if not (1 <= b < a and a > BASIS_BUDGET):
-        return None
-    k = min(b, a - b)
-    return _ln_stirling(k, log(a - k))
-
-
-def _module_ln(model, degree: int) -> float | None:
-    """ln of a module model's dimension in ``degree`` when a lower bound of
-    its closed form is already over BASIS_BUDGET, else None, and then
-    ``math.comb`` builds the exact count at once.
-
-    Delta(n) has C(n + d + 1, d + 1) labels in degree d and Sphere(n) has
-    C(d, n).  The boundary holds the labels that miss the last vertex,
-    C(n + d, d + 1), and at most n + 1 times as many, and no more than
-    Delta(n); its estimate is the smaller upper bound.
-    """
-    n, d = model.n, degree
-    if isinstance(model, SphereModel):
-        return _ln_comb_past_budget(d, n)
-    if isinstance(model, BoundaryDeltaModel):
-        low = _ln_comb_past_budget(n + d, d + 1)
-        if low is None:
-            return None
-        return min(low + log(n + 1), _ln_comb_past_budget(n + d + 1, d + 1))
-    return _ln_comb_past_budget(n + d + 1, d + 1)
+# The most work, (top + 1)^2 dim(top) (top + 1 + P), that `delta` and
+# `homology` will take on: per degree and label, its faces and their labels
+# of top + 1 vertices and up to P factors.  It admits delta --q 5 --i 5
+# (216,550,656: seconds) and refuses Sphere(1) to degree 150 (516,442,650:
+# five seconds) and Delta(0) to degree 1000 (some ten seconds).
+WORK_BUDGET = 500_000_000
 
 
 def _check_size(model):
-    """Refuse a model whose top-degree basis is over BASIS_BUDGET, from the
-    closed-form dimension, before any basis is built.
-
-    A module model's dimension is a binomial C(a, b), and ``math.comb``
-    takes tens of seconds when both b and a - b are near a million.  Since
-    C(a, b) >= a for 1 <= b < a, the guard refuses once a is over the
-    budget, with an estimate from ``lgamma``, before that integer is built.
-
-    The algebra's dimension is C(s + P, P) for s sphere generators and the
-    polynomial bound P, an integer of about P log10(s) digits.  Since
-    C(s + P, P) >= s + P when s >= 1, the guard refuses once s + P is over
-    the budget, before that integer is built; when s itself has more than
-    31 digits, before s is built.  With no generator the dimension is 1,
-    the unit alone.
-    """
-    top = model.max_degree
-    if isinstance(model, AlgebraModel):
-        sphere, poly = model.underlying, model.poly_bound
-        ln_s = _module_ln(sphere, top)
-        if ln_s is not None and ln_s >= 31 * log(10):
-            # C(s + P, P) >= s > 10^30: only its order of magnitude is read
-            _refuse_size(model, _ln_text(_ln_stirling(poly, ln_s), None))
-        s = sphere.dimension(top)
-        if s and s + poly > BASIS_BUDGET:
-            _refuse_size(model, _comb_text(s + poly, poly))
-    else:
-        ln = _module_ln(model, top)
-        if ln is not None:
-            _refuse_size(model, _ln_text(ln, partial(model.dimension, top)))
-    size = model.dimension(top)
-    if size > BASIS_BUDGET:
-        _refuse_size(model, _count_text(size))
-
-
-def _refuse_size(model, size_text: str):
-    raise _ConfigError(
-        f"{model.name} would have {size_text} basis elements in degree "
-        f"{model.max_degree}, over the budget of {BASIS_BUDGET:,}"
-    )
+    """Refuse a model whose top-degree basis is over BASIS_BUDGET, or whose
+    work is over WORK_BUDGET, from its dimension in log space."""
+    top, span = model.max_degree, model.max_degree + 1 + model.poly_bound
+    ln = model.ln_dimension(top)
+    _refuse_over(BASIS_BUDGET, ln, partial(model.dimension, top),
+                 f"{model.name} would have {{}} basis elements in degree {top}")
+    _refuse_over(WORK_BUDGET, 2 * log(top + 1) + ln + log(span),
+                 lambda: (top + 1) ** 2 * model.dimension(top) * span,
+                 f"{model.name} would take {{}} steps up to degree {top}")
 
 
 # The largest shuffle-map term count, C(i+j, i) at the top bidegree, that
@@ -194,19 +110,16 @@ def _refuse_size(model, size_text: str):
 # defect will build toward.  It admits window 16 (C(16, 8) = 12,870 terms at
 # (8, 8)) and refuses window 18 (48,620) and beyond; window 14 already takes
 # tens of seconds and some hundred MB.  The refinements D^k have at least
-# the shuffle map's terms, so the estimate is a lower bound for them.
+# the shuffle map's terms, so the estimate is a lower bound for them; their
+# k + 1 levels D^0 .. D^k are counted against the same budget.
 TERM_BUDGET = 20_000
 
 
 def _check_terms(i: int, j: int):
     """Refuse bidegree (i, j) when the shuffle map there has more than
     TERM_BUDGET terms, before any transform is built."""
-    size = comb(i + j, i)
-    if size > TERM_BUDGET:
-        raise _ConfigError(
-            f"the shuffle map would have {_count_text(size)} terms at bidegree "
-            f"({i}, {j}), over the budget of {TERM_BUDGET:,}"
-        )
+    _refuse_over(TERM_BUDGET, ln_binomial(i, j), partial(comb, i + j, i),
+                 f"the shuffle map would have {{}} terms at bidegree ({i}, {j})")
 
 
 def _emit(text: str, output: str | None):
@@ -439,11 +352,6 @@ _INDEXED_TRANSFORMS = {
 }
 
 
-# The transforms built from the shuffle map, with at least C(i+j, i) terms at
-# (i, j).  Every other named transform has at most max(i, j) + 1 there.
-_SHUFFLE_TRANSFORMS = ("shuffle", "refinement", "defect")
-
-
 def _cmd_dump(args) -> int:
     if args.name in _PLAIN_TRANSFORMS:
         if args.k is not None:
@@ -457,8 +365,13 @@ def _cmd_dump(args) -> int:
         raise _ConfigError(f"unknown transform {args.name!r}")
     if args.i < 0 or args.j < 0:
         raise _ConfigError("--i and --j must be >= 0")
-    if args.name in _SHUFFLE_TRANSFORMS:
+    # the shuffle map and the transforms built from it have at least C(i+j, i)
+    # terms at (i, j), every other one at most max(i, j) + 1
+    if args.name in ("shuffle", "refinement", "defect"):
         _check_terms(args.i, args.j)
+    if args.name in ("refinement", "defect"):
+        _refuse_over(TERM_BUDGET, log(args.k + 1), lambda: args.k + 1,
+                     f"the refinements D^0 .. D^{args.k} would be {{}} levels")
     transform: EMTransform = build()
     _emit(_json_text(dump_bidegree(transform, args.i, args.j, args.reduced)), args.output)
     return 0

@@ -37,7 +37,8 @@ degree.  A module model builds that table from ``theta_label``.  The
 algebra builds it from the sphere's table, factor by factor on tuples of
 sphere indices: the sphere basis is lexicographic, so index order is label
 order and no label is gathered.  ``Model.dimension`` gives each basis size
-from a closed form, so a size can be checked before anything is built.
+from a closed form, and ``Model.ln_dimension`` its log from the same form
+(``ln_binomial``), so a size can be checked before anything is built.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations_with_replacement
-from math import comb
+from math import comb, exp, expm1, inf, lgamma, log, log1p
 from operator import itemgetter
 
 from .words import DEGENERACY, FACE, Word, degeneracy, face, letter_theta, walk
@@ -80,6 +81,36 @@ class F2Element:
 
     def __len__(self) -> int:
         return len(self.support)
+
+
+# A binomial below 4,000 digits is built and its log taken exactly:
+# ``math.comb`` takes milliseconds there and seconds past some ten thousand.
+_EXACT_LN = 4000 * log(10)
+
+
+def ln_binomial(k: int, m: int | None, ln_m: float | None = None) -> float:
+    """ln C(m + k, k) for integers k, m >= 0 of any size.  ``ln_m``, if
+    given, is ln m, and stands alone for an m too large to build (None).
+
+    Below 4,000 digits it is the log of ``math.comb``.  Above, with K <= M
+    the two arguments, it is Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x
+    - x + ln(2π)/2 + 1/(12x) - ..., for (M + K)! and M!, and ``lgamma`` for
+    K!, off by under 1/(360 M^3) with M > 6,000.  For M past the float range
+    x = K/M rounds to 0, where log1p(x)/x -> 1; for K ln K past it, inf.
+    """
+    ln_k = log(k) if k else -inf
+    if ln_m is None:
+        ln_m = log(m) if m else -inf
+    ln_k, ln_m = sorted((ln_k, ln_m))
+    if ln_k == -inf:
+        return 0.0
+    if ln_k > 700:
+        return inf
+    small, x, e = exp(ln_k), exp(ln_k - ln_m), exp(-ln_m)
+    ln = (small * (log1p(x) / x if x else 1.0) * (1 + e / 2)
+          + small * (ln_m + log1p(x)) - small - lgamma(small + 1)
+          - e * x / (12 * (1 + x)))
+    return log(comb(m + k, k)) if m is not None and ln < _EXACT_LN else ln
 
 
 def theta_map(theta: tuple):
@@ -115,6 +146,10 @@ class Model:
 
     def dimension(self, degree: int) -> int:
         """``len(self.basis(degree))`` from a closed form, building nothing."""
+        raise NotImplementedError
+
+    def ln_dimension(self, degree: int) -> float:
+        """ln ``dimension(degree)`` from the same closed form, -inf for 0."""
         raise NotImplementedError
 
     def face_rows(self, q: int) -> tuple:
@@ -238,6 +273,8 @@ class Model:
 class ModuleModel(Model):
     """Span of a set of nondecreasing vertex tuples closed under the actions."""
 
+    poly_bound = 0  # a label is one tuple, not a product of factors
+
     def __init__(self, n: int, max_degree: int):
         if n < 0 or max_degree < 0:
             raise ValueError("n and max_degree must be nonnegative")
@@ -307,6 +344,9 @@ class DeltaModel(ModuleModel):
     def dimension(self, degree):
         return comb(self.n + degree + 1, degree + 1) if degree >= 0 else 0
 
+    def ln_dimension(self, degree):
+        return ln_binomial(degree + 1, self.n) if degree >= 0 else -inf
+
 
 class BoundaryDeltaModel(ModuleModel):
     """The boundary subcomplex: tuples that miss at least one vertex."""
@@ -322,6 +362,19 @@ class BoundaryDeltaModel(ModuleModel):
         if degree < 0:
             return 0
         return comb(self.n + degree + 1, degree + 1) - comb(degree, self.n)
+
+    def ln_dimension(self, degree):
+        # Delta(n)'s count less the sphere's, by their ratio; where that is 1
+        # to six places (degree far past n^2), the labels missing one vertex,
+        # C(n + degree, n - 1) each: inclusion-exclusion's first term
+        n = self.n
+        if degree < 0 or n == 0:
+            return -inf
+        whole = ln_binomial(degree + 1, n)
+        gap = -expm1((ln_binomial(n, degree - n) if degree >= n else -inf) - whole)
+        if gap > 1e-6:
+            return whole + log(gap)
+        return log(n + 1) + ln_binomial(n - 1, degree + 1)
 
 
 class SphereModel(ModuleModel):
@@ -341,6 +394,9 @@ class SphereModel(ModuleModel):
 
     def dimension(self, degree):
         return comb(degree, self.n) if degree >= 0 else 0
+
+    def ln_dimension(self, degree):
+        return ln_binomial(self.n, degree - self.n) if degree >= self.n else -inf
 
     def fundamental_class(self) -> F2Element:
         return self.element([tuple(range(self.n + 1))], self.n)
@@ -393,6 +449,12 @@ class AlgebraModel(Model):
         # stick sum of C(s + p - 1, p) over p <= P
         return comb(self.underlying.dimension(degree) + self.poly_bound,
                     self.poly_bound)
+
+    def ln_dimension(self, degree):
+        # the sphere count s is built only where ln_binomial would build it
+        ln_s = self.underlying.ln_dimension(degree)
+        s = self.underlying.dimension(degree) if ln_s < _EXACT_LN else None
+        return ln_binomial(self.poly_bound, s, ln_s) if degree >= 0 else -inf
 
     def monomial_indices(self, degree: int):
         """``basis(degree)`` with each factor replaced by its sphere index.

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import sys
+from functools import partial
 from time import perf_counter
 
 import pytest
@@ -15,6 +16,7 @@ from simpdelta.models import (
     algebra_model,
     boundary_delta_model,
     delta_model,
+    ln_binomial,
     sphere_model,
 )
 
@@ -25,6 +27,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_text(size):
+    """A refusal's count: exact below 10^30, else its order of magnitude."""
+    return f"{size:,}" if size < 10**30 else f"about 10^{math.floor(math.log10(size))}"
 
 
 def test_verify_simp(capsys):
@@ -315,10 +322,14 @@ def test_no_subcommand(capsys):
      "about 10^602057"),
     (("homology", "--model", "sphere", "--n", "1000000", "--max-degree", "2000000"),
      "about 10^602056"),
+    # a polynomial bound past the float range: the estimate's log is too
+    (("delta", "--q", "5000", "--i", "5000", "--poly", "1" + "0" * 400),
+     "more than 10^308"),
 ], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20", "delta-5000-5000",
         "sphere-algebra-poly-3000000", "delta-5000-5000-poly-3000000",
         "sphere-algebra-200-poly-100000000", "delta-1000000-1000000",
-        "delta-model-1000000", "boundary-model-1000000", "sphere-model-1000000"])
+        "delta-model-1000000", "boundary-model-1000000", "sphere-model-1000000",
+        "delta-5000-5000-poly-10^400"])
 def test_oversized_model_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -328,13 +339,43 @@ def test_oversized_model_exits_2_at_once(capsys, argv, size):
     assert size in err and f"budget of {cli.BASIS_BUDGET:,}" in err
 
 
+@pytest.mark.parametrize("argv, size", [
+    # the work estimate (top + 1)^2 dim(top) (top + 1 + P), with a small basis
+    (("homology", "--model", "sphere-algebra", "--n", "1", "--max-degree", "1",
+      "--poly", "199999"), "160,000,800,000 steps up to degree 1"),
+    (("homology", "--model", "sphere-algebra", "--n", "1", "--max-degree", "1",
+      "--poly", "20000"), "1,600,240,008 steps up to degree 1"),
+    (("homology", "--model", "sphere", "--n", "1", "--max-degree", "300"),
+     "8,181,270,300 steps up to degree 300"),
+    (("homology", "--model", "delta", "--n", "0", "--max-degree", "100000000"),
+     "1,000,000,030,000,000,300,000,001 steps up to degree 100000000"),
+    (("homology", "--model", "delta", "--n", "0", "--max-degree", "1000"),
+     "1,003,003,001 steps up to degree 1000"),
+    # two labels in every degree, past 10^31 steps: the order of magnitude
+    (("homology", "--model", "boundary", "--n", "1", "--max-degree", "1" + "0" * 20),
+     "about 10^60 steps"),
+], ids=["sphere-algebra-poly-199999", "sphere-algebra-poly-20000", "sphere-model-300",
+        "delta-model-0-100000000", "delta-model-0-1000", "boundary-model-1-10^20"])
+def test_too_much_work_exits_2_at_once(capsys, argv, size):
+    t0 = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert size in err and f"budget of {cli.WORK_BUDGET:,}" in err
+
+
 @pytest.mark.parametrize("n, k", [
     (200_001, 1), (200_001, 200_000), (200_002, 2), (300_000, 5),
     (300_000, 6), (300_000, 7), (3_000_126, 126), (400_000, 1_000), (400_000, 200_000),
 ])
 def test_size_estimate_is_the_exact_count_text(n, k):
     # past the budget: exact below 10^30, else the order of magnitude
-    assert cli._comb_text(n, k) == cli._count_text(math.comb(n, k))
+    with pytest.raises(cli._ConfigError) as info:
+        cli._refuse_over(cli.BASIS_BUDGET, ln_binomial(k, n - k),
+                         partial(math.comb, n, k), "C(n, k) is {}")
+    assert str(info.value) == (
+        f"C(n, k) is {count_text(math.comb(n, k))}, over the budget of 200,000")
 
 
 @pytest.mark.parametrize("build, n, degree", [
@@ -344,23 +385,23 @@ def test_size_estimate_is_the_exact_count_text(n, k):
     (boundary_delta_model, 200_000, 1), (boundary_delta_model, 3, 400_000),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_module_estimate_is_the_exact_count_text(build, n, degree):
-    # past the budget by the lower bound: exact below 10^30, else the order
+    # exact below 10^30, else the order of magnitude of the closed form
     model = build(n, degree)
     with pytest.raises(cli._ConfigError) as info:
         cli._check_size(model)
-    size = cli._count_text(model.dimension(degree))
+    size = count_text(model.dimension(degree))
     assert f" {size} basis elements" in str(info.value)
 
 
 @pytest.mark.parametrize("n", [10, 100, 3000, 30_000])
 def test_boundary_estimate_is_within_an_order_of_its_count(n):
-    # the boundary's estimate is an upper bound, off by a small factor
+    # the boundary's estimate is the log of its count, Delta(n)'s less the
+    # sphere's, not a bound
     degree = 300_000
     size = boundary_delta_model(n, degree).dimension(degree)
-    log10_size = math.log10(size >> (size.bit_length() - 64)) + (
-        size.bit_length() - 64) * math.log10(2)
-    estimate = cli._module_ln(boundary_delta_model(n, degree), degree) / math.log(10)
-    assert log10_size <= estimate < log10_size + 1
+    estimate = boundary_delta_model(n, degree).ln_dimension(degree)
+    assert abs(estimate - math.log(size)) < 1e-6
+    assert math.floor(estimate / math.log(10)) == math.floor(math.log10(size))
 
 
 def test_an_algebra_without_generators_runs_at_once(capsys):
@@ -395,6 +436,27 @@ def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitte
     assert (model.dimension(q + i + 1) <= cli.BASIS_BUDGET) == admitted
 
 
+@pytest.mark.parametrize("model, work, admitted", [
+    (algebra_model(5, 11, 2), 216_550_656, True),     # delta --q 5 --i 5
+    (algebra_model(3, 7, 4), 63_168_768, True),       # delta --q 3 --i 3 --poly 4
+    (algebra_model(4, 9, 2), 9_753_600, True),        # the benchmark's table
+    (algebra_model(1, 1, 5000), 100_060_008, True),
+    (delta_model(0, 600), 217_081_801, True),
+    (sphere_model(1, 150), 516_442_650, False),
+    (algebra_model(1, 1, 199_999), 160_000_800_000, False),
+], ids=lambda v: getattr(v, "name", v))
+def test_work_budget_admits_the_calibration_runs(model, work, admitted):
+    # closed forms only: W = (top + 1)^2 dim(top) (top + 1 + P)
+    top = model.max_degree
+    assert (top + 1) ** 2 * model.dimension(top) * (top + 1 + model.poly_bound) == work
+    assert (work <= cli.WORK_BUDGET) == admitted
+    if admitted:
+        cli._check_size(model)
+    else:
+        with pytest.raises(cli._ConfigError, match=f"{work:,} steps"):
+            cli._check_size(model)
+
+
 @pytest.mark.parametrize("argv, size", [
     (("verify", "dwyer", "--max-total", "40", "--max-k", "4"),
      "137,846,528,820 terms at bidegree (20, 20)"),
@@ -404,8 +466,13 @@ def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitte
      "about 10^12038 terms at bidegree (20000, 20000)"),
     (("dump-transform", "--name", "shuffle", "--i", "20000", "--j", "20000"),
      "about 10^12038 terms at bidegree (20000, 20000)"),
+    # D^0 .. D^k are built level by level, whatever the bidegree
+    (("dump-transform", "--name", "refinement", "--k", "1000000", "--i", "2", "--j", "2"),
+     "D^0 .. D^1000000 would be 1,000,001 levels"),
+    (("dump-transform", "--name", "defect", "--k", "20000", "--i", "0", "--j", "0"),
+     "D^0 .. D^20000 would be 20,001 levels"),
 ], ids=["verify-window-40", "dump-shuffle-40-40", "verify-window-40000",
-        "dump-shuffle-20000-20000"])
+        "dump-shuffle-20000-20000", "dump-refinement-k-1000000", "dump-defect-k-20000"])
 def test_oversized_window_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)

@@ -25,6 +25,7 @@ from simpdelta.models import (
     delta_model,
     dump_model,
     evaluate_em,
+    ln_binomial,
     sphere_model,
     tensor,
     verify_simplicial_identities,
@@ -97,6 +98,41 @@ def test_closed_form_dimension_builds_nothing():
     am = algebra_model(7, 15, 2)
     assert am.dimension(15) == 20_714_266
     assert am._basis == {} and am.underlying._basis == {}
+
+
+# From the empty boundary of Delta(0) through degrees far past n^2, where
+# the boundary's count is the first term of inclusion-exclusion, to counts
+# on both sides of the 4,000 digits past which ln_binomial stops building
+# the binomial and takes Stirling's series.
+@pytest.mark.parametrize("build", [delta_model, boundary_delta_model, sphere_model])
+@pytest.mark.parametrize("n, degree", [
+    (0, 0), (0, 5), (1, 0), (1, 1), (2, 7), (3, 2), (5, 12),
+    (10, 10**6), (100, 10**9), (1, 10**12), (2, 10**12), (10, 10**9), (3, 10**20),
+    (2000, 12000), (3000, 10000), (4000, 12000), (5000, 12000),
+    (6000, 14001), (7000, 14001), (10_000, 30_000),
+])
+def test_ln_dimension_is_the_log_of_the_dimension(build, n, degree):
+    model = build(n, degree)
+    size, ln = model.dimension(degree), model.ln_dimension(degree)
+    assert ln == -math.inf if size == 0 else abs(ln - math.log(size)) < 1e-6
+
+
+@pytest.mark.parametrize("n, degree, poly", [
+    (1, 1, 2), (2, 5, 2), (3, 7, 4), (5, 3, 300_000), (1, 1, 199_999),
+    (4, 9, 3_000_000), (6000, 12000, 3), (7000, 14001, 2),
+])
+def test_algebra_ln_dimension_is_the_log_of_the_dimension(n, degree, poly):
+    # the last has a sphere count past 4,000 digits, given by its log alone
+    model = algebra_model(n, degree, poly)
+    assert abs(model.ln_dimension(degree) - math.log(model.dimension(degree))) < 1e-6
+
+
+def test_ln_binomial_past_the_float_range():
+    # C(m + k, k) with k past 10^308 has a log past the float range
+    assert ln_binomial(10**400, 10**3000) == math.inf
+    assert ln_binomial(10**3000, None, ln_m=math.log(10**400)) == math.inf
+    assert ln_binomial(0, 10**3000) == ln_binomial(10**3000, 0) == 0.0
+    assert abs(ln_binomial(2, 10**3000) - math.log(math.comb(10**3000 + 2, 2))) < 1e-6
 
 
 def test_basis_is_lazy_and_cached():
