@@ -26,9 +26,9 @@ from simpdelta.words import face
 
 # The index pairs behind delta_2 on a degree-2 class.
 print("anchored shuffle pairs for q = 2, i = 2:")
-for pair in anchored_shuffle_pairs(2, 2):
-    print(f"  mu = {pair.mu} -> {degeneracy_word(pair.mu)},  "
-          f"nu = {pair.nu} -> {degeneracy_word(pair.nu)}")
+for mu, nu in anchored_shuffle_pairs(2, 2):
+    print(f"  mu = {mu} -> {degeneracy_word(mu)},  "
+          f"nu = {nu} -> {degeneracy_word(nu)}")
 
 # delta_2 of the fundamental class of the Sphere(2) polynomial algebra.
 am = algebra_model(2, 5, 2)

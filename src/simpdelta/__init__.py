@@ -42,23 +42,18 @@ from .models import (
     algebra_model,
     boundary_delta_model,
     delta_model,
-    dump_model,
     evaluate_em,
     sphere_model,
     tensor,
-    verify_simplicial_identities,
 )
 from .operations import (
     BadRangeError,
     NotACycleWarning,
     NotNormalizedCycleError,
-    ShufflePair,
     anchored_shuffle_pairs,
     delta_i,
     delta_report,
     delta_via_em,
-    shuffle_pairs,
-    shuffle_square,
 )
 from .relations import (
     RelationResult,

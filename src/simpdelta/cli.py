@@ -8,7 +8,7 @@ file that cannot be written.
 Size guard: each budget below is checked against a closed form in log
 space (``Model.ln_dimension``, ``models.ln_binomial``) before anything is
 built, and one function, ``_refuse_over``, refuses it with exit 2 and the
-count, exact below 10^30.
+count: exact below 10^30, else its order of magnitude.
 
 ``main`` runs each subcommand with Python's cyclic garbage collector
 paused, and restores the caller's setting when it returns.  Words, normal
@@ -35,11 +35,11 @@ import json
 import os
 import sys
 from functools import partial
-from math import comb, floor, inf, log, log10
+from math import comb, floor, inf, log
 
 from .homology import associated_complex, normalized_complex
-from .models import (algebra_model, boundary_delta_model, delta_model, ln_binomial,
-                     sphere_model)
+from .models import (_EXACT_LN, algebra_model, boundary_delta_model, delta_model,
+                     ln_binomial, sphere_model)
 from .operations import delta_report
 from .relations import FAMILIES, check_relation, relation_names
 from .transforms import (
@@ -67,13 +67,15 @@ class _ConfigError(Exception):
 def _refuse_over(budget: int, ln: float, exact, what: str):
     """Refuse a count over ``budget`` whose natural log is ``ln``, with
     ``what``, the message with ``{}`` where the count goes.  The exact count
-    ``exact()`` is built only when ``ln`` puts it below 10^31, and shown
-    below 10^30; else the message shows the order of magnitude from ``ln``."""
-    if ln < 31 * log(10):
+    ``exact()`` is built only when ``ln`` puts it below 4,000 digits, where
+    ``ln_binomial`` builds it too.  It is shown below 10^30, and above as
+    the order of magnitude read off its digits; past 4,000 digits the
+    message shows the order of magnitude from ``ln``."""
+    if ln < _EXACT_LN:
         size = exact()
         if size <= budget:
             return
-        text = f"{size:,}" if size < 10**30 else f"about 10^{floor(log10(size))}"
+        text = f"{size:,}" if size < 10**30 else f"about 10^{len(str(size)) - 1}"
     else:
         text = f"about 10^{floor(ln / log(10))}" if ln < inf else "more than 10^308"
     raise _ConfigError(f"{what.format(text)}, over the budget of {budget:,}")

@@ -69,14 +69,6 @@ class ChainComplexF2:
             raise ValueError(f"homology defined for degrees 0..{self.top - 1}")
         return self.cycle_rank(q) - self.rank_d(q + 1)
 
-    def d_squared_is_zero(self) -> bool:
-        for q in range(2, self.top + 1):
-            lower = self._matrix(q - 1)
-            for col in self.diff[q]:
-                if lower.apply(col):
-                    return False
-        return True
-
     def boundary_vector(self, q: int, vec: int) -> int:
         return self._matrix(q).apply(vec)
 

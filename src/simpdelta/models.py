@@ -25,7 +25,6 @@ for zero and one-label input.  Each plan keeps an image table, source
 label to that shared image element, filled by ``theta_label`` on first
 use, so a label's image under a word is computed once per model, and a
 one-label input on a filled entry is answered by the entry itself.
-``dump_model`` reads the same rule through the one-letter θ.
 
 ``Model.__init__`` declares every per-model table in one place: the
 bases, the plans, the face rows, the shared elements, and the one
@@ -54,7 +53,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb, exp, expm1, inf, lgamma, log, log1p
 from operator import itemgetter
 
-from .words import DEGENERACY, FACE, Word, degeneracy, face, letter_theta, walk
+from .words import FACE, Word, face, letter_theta, walk
 from .words import OutOfRangeError, TruncationOverflowError  # re-exported
 
 
@@ -364,17 +363,21 @@ class BoundaryDeltaModel(ModuleModel):
         return comb(self.n + degree + 1, degree + 1) - comb(degree, self.n)
 
     def ln_dimension(self, degree):
-        # Delta(n)'s count less the sphere's, by their ratio; where that is 1
-        # to six places (degree far past n^2), the labels missing one vertex,
-        # C(n + degree, n - 1) each: inclusion-exclusion's first term
+        # Delta(n)'s count less the sphere's, by their ratio.  Far past n^2
+        # the two agree to many places and their logs cancel, so there it
+        # is inclusion-exclusion to two terms: the labels missing one vertex,
+        # n + 1 times C(n + degree, n - 1), less those missing two, a share
+        # r = n(n - 1) / (2(n + degree)) of the first; the third term is
+        # under r^2, so r <= 10^-4 keeps it below 10^-8
         n = self.n
         if degree < 0 or n == 0:
             return -inf
+        if 10**4 * n * (n - 1) <= 2 * (n + degree):
+            r = n * (n - 1) / (2 * (n + degree))
+            return log(n + 1) + ln_binomial(n - 1, degree + 1) + log1p(-r)
         whole = ln_binomial(degree + 1, n)
         gap = -expm1((ln_binomial(n, degree - n) if degree >= n else -inf) - whole)
-        if gap > 1e-6:
-            return whole + log(gap)
-        return log(n + 1) + ln_binomial(n - 1, degree + 1)
+        return whole + log(gap)
 
 
 class SphereModel(ModuleModel):
@@ -628,85 +631,3 @@ def evaluate_em(
                     acc.add(term)
     return TensorElement(k, l, frozenset(acc))
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def verify_simplicial_identities(model: Model) -> list[str]:
-    """Exhaustively check the five identities on the model's basis.
-
-    Returns a list of violation descriptions (empty when all hold).
-    """
-    bad: list[str] = []
-
-    for m in range(model.max_degree + 1):
-        # (name, lhs word, rhs word or None where the rhs is x itself)
-        checks: list = []
-        for j in range(m + 1):
-            # d_i d_j = d_{j-1} d_i  (i < j)
-            for i in range(j):
-                checks.append(
-                    (f"d{i} d{j}", face(i) * face(j), face(j - 1) * face(i))
-                )
-            # s_i s_j = s_{j+1} s_i  (i <= j), needs headroom of two
-            if m + 2 <= model.max_degree:
-                for i in range(j + 1):
-                    checks.append((
-                        f"s{i} s{j}",
-                        degeneracy(i) * degeneracy(j),
-                        degeneracy(j + 1) * degeneracy(i),
-                    ))
-            # d_i s_j, all three cases
-            if m + 1 <= model.max_degree:
-                for i in range(m + 2):
-                    if i == j or i == j + 1:
-                        rhs = None
-                    elif i < j:
-                        rhs = degeneracy(j - 1) * face(i)
-                    else:
-                        rhs = degeneracy(j) * face(i - 1)
-                    checks.append((f"d{i} s{j}", face(i) * degeneracy(j), rhs))
-        for label in model.basis(m):
-            x = model.element([label], m)
-            for name, lw, rw in checks:
-                lhs = model.apply_word(lw, x)
-                rhs = x if rw is None else model.apply_word(rw, x)
-                if lhs != rhs:
-                    bad.append(f"{model.name}: {name} on {label} at degree {m}")
-    return bad
-
-
-def dump_model(model: Model) -> dict:
-    """JSON-ready dump: bases and generator action tables per degree.
-
-    Each entry is the model's one label rule through the one-letter θ,
-    None where the image is zero.  In degree 0 the faces print the empty
-    label, the rule's image under the empty θ, although ``apply_word``
-    treats a face out of degree 0 as the zero map.
-    """
-    top = model.max_degree
-
-    def table(labels, m, kind):
-        out = []
-        for i in range(m + 1):
-            gather = theta_map(letter_theta(tuple(range(m + 1)), (kind, i)))
-            row = {}
-            for lbl in labels:
-                img = model.theta_label(gather, lbl)
-                row[model.label_str(lbl)] = None if img is None else model.label_str(img)
-            out.append(row)
-        return out
-
-    degrees = []
-    for m in range(top + 1):
-        labels = model.basis(m)
-        entry = {
-            "degree": m,
-            "basis": [model.label_str(lbl) for lbl in labels],
-            "faces": table(labels, m, FACE),
-        }
-        if m + 1 <= top:
-            entry["degeneracies"] = table(labels, m, DEGENERACY)
-        degrees.append(entry)
-    return {"model": model.name, "max_degree": top, "degrees": degrees}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 
 from .homology import is_cycle, nonzero_face, normalized_subspace, same_class
 from .models import AlgebraModel, F2Element, evaluate_em, tensor
@@ -31,34 +30,18 @@ class NotACycleWarning(UserWarning):
     """delta_1 output has one nonvanishing face (the square of the input)."""
 
 
-@dataclass(frozen=True)
-class ShufflePair:
-    """Disjoint increasing index blocks (mu, nu) covering one window."""
+def anchored_shuffle_pairs(q: int, i: int) -> list[tuple]:
+    """The splittings (mu, nu) of the window {q-i, ..., q+i-1} into two
+    increasing i-blocks whose mu-block starts at the window minimum q-i.
 
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-
-    def __post_init__(self):
-        if set(self.mu) & set(self.nu):
-            raise ValueError("blocks overlap")
-
-
-def shuffle_pairs(q: int, i: int) -> list[ShufflePair]:
-    """All splittings of the window {q-i, ..., q+i-1} into two i-blocks.
-
-    Ordered lexicographically by mu.  There are C(2i, i) of them.
+    mu is q-i followed by each (i-1)-subset of the rest of the window, in
+    lexicographic order.  There are C(2i-1, i-1) of them; these index the
+    terms of delta_i.
     """
     if not 1 <= i <= q:
         raise BadRangeError(f"need 1 <= i <= q, got i={i}, q={q}")
-    return [ShufflePair(mu, nu) for mu, nu in shuffles(tuple(range(q - i, q + i)), i)]
-
-
-def anchored_shuffle_pairs(q: int, i: int) -> list[ShufflePair]:
-    """The splittings whose mu-block starts at the window minimum q-i.
-
-    There are C(2i-1, i-1) of them; these index the terms of delta_i.
-    """
-    return [p for p in shuffle_pairs(q, i) if p.mu[0] == q - i]
+    rest = tuple(range(q - i + 1, q + i))
+    return [((q - i,) + mu, nu) for mu, nu in shuffles(rest, i - 1)]
 
 
 def _require_cycle(model: AlgebraModel, z: F2Element):
@@ -68,18 +51,6 @@ def _require_cycle(model: AlgebraModel, z: F2Element):
             f"face d{r} of the input is nonzero; "
             "the closed formula needs all faces to vanish"
         )
-
-
-def _product_sum(
-    model: AlgebraModel, z: F2Element, pairs: list[ShufflePair], i: int
-) -> F2Element:
-    """Sum of s_nu(z) * s_mu(z) over the pairs, whose blocks have size i."""
-    acc = model.zero(z.degree + i)
-    for pair in pairs:
-        a = model.apply_word(degeneracy_word(pair.nu), z)
-        b = model.apply_word(degeneracy_word(pair.mu), z)
-        acc += model.multiply(a, b)
-    return acc
 
 
 def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
@@ -100,7 +71,12 @@ def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
             NotACycleWarning,
             stacklevel=2,
         )
-    return _product_sum(model, z, anchored_shuffle_pairs(q, i), i)
+    acc = model.zero(q + i)
+    for mu, nu in anchored_shuffle_pairs(q, i):
+        a = model.apply_word(degeneracy_word(nu), z)
+        b = model.apply_word(degeneracy_word(mu), z)
+        acc += model.multiply(a, b)
+    return acc
 
 
 def _multiply_pairs(model: AlgebraModel, pairs_element) -> F2Element:
@@ -138,20 +114,6 @@ def delta_via_em(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
     return out
 
 
-def shuffle_square(model: AlgebraModel, z: F2Element) -> F2Element:
-    """The multiplied shuffle of z with itself.
-
-    Sum over all splittings of {0, ..., 2q-1} of s_nu(z) * s_mu(z); the
-    splittings pair up under block swap and the algebra is commutative,
-    so the result is always zero mod 2.  Kept as an executable statement
-    of that fact.
-    """
-    q = z.degree
-    if q < 1:
-        raise BadRangeError("need degree >= 1")
-    return _product_sum(model, z, shuffle_pairs(q, q), q)
-
-
 def delta_report(
     model: AlgebraModel,
     z: F2Element,
@@ -177,8 +139,8 @@ def delta_report(
         "i": i,
         "degree": q + i,
         "terms": [
-            [str(degeneracy_word(p.nu)), str(degeneracy_word(p.mu))]
-            for p in anchored_shuffle_pairs(q, i)
+            [str(degeneracy_word(nu)), str(degeneracy_word(mu))]
+            for mu, nu in anchored_shuffle_pairs(q, i)
         ],
         "value": sorted(model.label_str(lbl) for lbl in value.support),
         "is_cycle": is_cycle(model, value),

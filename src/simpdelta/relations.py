@@ -2,10 +2,22 @@
 
 Each named relation runs over an explicit bidegree window and returns a
 `RelationResult` with a case count and, on failure, a witness bidegree
-with the uncancelled terms.  The chain-map statement is additionally
-checked numerically on standard-simplex models; evaluating on the
-fundamental simplex of Delta(i) (x) Delta(j) determines a natural
-transformation completely, so that route is not just a spot check.
+with the uncancelled terms.
+
+Most relations are equalities of transforms, kept as data: ``_SYMBOLIC``
+maps a name to its description and a function that builds its parts, a
+part being (witness label, left side, right side).  One routine,
+``_symbolic``, compares every part on the window and adds up their cases;
+the first failing part gives the witness.  The Dwyer conditions and the
+defect recursions take their order k from the name, so ``_dwyer`` and
+``_recursion`` build their one part and call the same routine.  Every
+transform is built per call; the table keeps none.
+
+``_CUSTOM`` holds the two checks that are not transform comparisons: d_0
+against suspension on single words, and the chain-map statement
+evaluated on standard-simplex models.  Evaluating on the fundamental
+simplex of Delta(i) (x) Delta(j) determines a natural transformation
+completely, so that route is not just a spot check.
 """
 
 from __future__ import annotations
@@ -15,22 +27,9 @@ from itertools import product
 
 from .models import delta_model, evaluate_em, tensor
 from .transforms import (
-    EMTransform,
-    boundary_left,
-    boundary_right,
-    degen0_left,
-    degen0_right,
-    diagonal_faces,
-    diagonal_identity,
-    dwyer_defect,
-    em_equal,
-    face0_left,
-    face0_right,
-    higher_shuffle,
-    identity_transform,
-    shuffle_map,
-    word_pair,
-    zero_transform,
+    EMTransform, boundary_left, boundary_right, degen0_left, degen0_right, diagonal_faces,
+    diagonal_identity, dwyer_defect, em_equal, face0_left, face0_right, higher_shuffle,
+    identity_transform, shuffle_map, word_pair, zero_transform,
 )
 from .words import DEGENERACY, FACE, IDENTITY, Word, face, is_defined, normalize
 
@@ -55,175 +54,25 @@ def _pair_str(pair) -> str:
     return f"({pair[0]} (x) {pair[1]})"
 
 
-def _compare(
-    name: str,
-    description: str,
-    lhs: EMTransform,
-    rhs: EMTransform,
-    max_total: int,
-    min_total: int = 0,
-    label: str = "",
+def _symbolic(
+    name: str, description: str, parts, max_total: int, min_total: int = 0
 ) -> RelationResult:
-    rep = em_equal(lhs, rhs, max_total, min_total)
-    witness = None
-    if not rep.equal:
-        witness = (
-            f"{label}bidegree {rep.witness}: "
-            f"left-only {sorted(map(_pair_str, rep.left_only))}, "
-            f"right-only {sorted(map(_pair_str, rep.right_only))}"
-        )
-    return RelationResult(name, description, rep.bidegrees_checked, rep.equal, witness)
+    """Compare the two sides of each part on min_total <= i + j <= max_total.
 
-
-def _merge(name: str, description: str, parts: list[RelationResult]) -> RelationResult:
-    cases = sum(p.cases for p in parts)
-    for p in parts:
-        if not p.passed:
-            return RelationResult(name, description, cases, False, p.witness)
-    return RelationResult(name, description, cases, True)
-
-
-def _simp0(max_total: int) -> RelationResult:
-    return _compare(
-        "simp0",
-        "(d_0 (x) id)(s_0 (x) id) = id",
-        face0_left() * degen0_left(),
-        identity_transform(),
-        max_total,
-    )
-
-
-def _simp1(max_total: int) -> RelationResult:
-    parts = []
-    for tag, f in [
-        ("D", shuffle_map()),
-        ("delta", diagonal_faces()),
-        ("d_0 (x) id", face0_left()),
-    ]:
-        sf = f.suspend()
-        lhs = sf * boundary_left().suspend() + sf * face0_left()
-        rhs = sf * boundary_left()
-        parts.append(
-            _compare(
-                "simp1",
-                "",
-                lhs,
-                rhs,
-                max_total,
-                label=f"F = {tag}, ",
-            )
-        )
-    return _merge(
-        "simp1",
-        "SF o S(boundary (x) id) + SF o (d_0 (x) id) = SF o (boundary (x) id)",
-        parts,
-    )
-
-
-def _simp2(max_total: int) -> RelationResult:
-    lhs = boundary_right() * face0_right()
-    rhs = face0_right() * boundary_right() + face0_right() * face0_right()
-    return _compare(
-        "simp2",
-        "(id (x) boundary)(id (x) d_0) = (id (x) d_0)(id (x) boundary + d_0)",
-        lhs,
-        rhs,
-        max_total,
-    )
-
-
-def _simp3(max_total: int) -> RelationResult:
-    lhs = boundary_right() * degen0_right()
-    rhs = degen0_right() * boundary_right() + degen0_right() * face0_right()
-    return _compare(
-        "simp3",
-        "(id (x) boundary)(id (x) s_0) = (id (x) s_0)(id (x) boundary) + id (x) s_0 d_0",
-        lhs,
-        rhs,
-        max_total,
-    )
-
-
-def _simp4(max_total: int) -> RelationResult:
-    return _compare(
-        "simp4",
-        "S(delta) = delta + d_0 (x) d_0",
-        diagonal_faces().suspend(),
-        diagonal_faces() + word_pair(face(0), face(0)),
-        max_total,
-    )
-
-
-def _simp5(max_total: int) -> RelationResult:
-    d00 = word_pair(face(0), face(0))
-    parts = []
-    for tag, f in [
-        ("D", shuffle_map()),
-        ("D^1", higher_shuffle(1)),
-        ("delta", diagonal_faces()),
-        ("phi_1", diagonal_identity(1)),
-    ]:
-        parts.append(
-            _compare(
-                "simp5",
-                "",
-                d00 * f.suspend(),
-                f * d00,
-                max_total,
-                label=f"F = {tag}, ",
-            )
-        )
-    return _merge(
-        "simp5", "(d_0 (x) d_0) o SF = F o (d_0 (x) d_0)", parts
-    )
-
-
-def _all_short_words(max_len: int, max_index: int) -> list[Word]:
-    alphabet = [
-        (kind, i) for kind in (FACE, DEGENERACY) for i in range(max_index + 1)
-    ]
-    out = [Word(())]
-    for length in range(1, max_len + 1):
-        out.extend(Word(fs) for fs in product(alphabet, repeat=length))
-    return out
-
-
-def _d0_word(max_total: int) -> RelationResult:
-    """d_0 o Sw = w o d_0 on normal forms, over all short words and degrees.
-
-    Both sides are compared wherever both are defined; additionally a
-    defined non-annihilating w must stay defined under suspension.
+    The cases of all parts add up, also after a part fails; the first
+    failing part gives the witness, after its label.
     """
-    name = "d0-word"
-    description = "d_0 o Sw = w o d_0 at the word level"
-    cases = 0
-    for w in _all_short_words(3, 3):
-        sw = w.suspend()
-        for n in range(max_total + 1):
-            lhs_word = face(0) * sw
-            rhs_word = w * face(0)
-            if is_defined(w, n):
-                if is_defined(rhs_word, n + 1) != is_defined(w, n):
-                    return RelationResult(
-                        name, description, cases, False,
-                        f"post-composition with d_0 changed definedness of {w} at {n}",
-                    )
-                nf = normalize(w, n)
-                if not nf.is_zero and not is_defined(sw, n + 1):
-                    return RelationResult(
-                        name, description, cases, False,
-                        f"suspension broke definedness of nonzero {w} at {n}",
-                    )
-            if not (is_defined(lhs_word, n + 1) and is_defined(rhs_word, n + 1)):
-                continue
-            cases += 1
-            if normalize(lhs_word, n + 1) != normalize(rhs_word, n + 1):
-                return RelationResult(
-                    name, description, cases, False,
-                    f"word {w} at degree {n}: "
-                    f"{normalize(lhs_word, n + 1)} != {normalize(rhs_word, n + 1)}",
-                )
-    return RelationResult(name, description, cases, True)
+    cases, witness = 0, None
+    for label, lhs, rhs in parts:
+        rep = em_equal(lhs, rhs, max_total, min_total)
+        cases += rep.bidegrees_checked
+        if witness is None and not rep.equal:
+            witness = (
+                f"{label}bidegree {rep.witness}: "
+                f"left-only {sorted(map(_pair_str, rep.left_only))}, "
+                f"right-only {sorted(map(_pair_str, rep.right_only))}"
+            )
+    return RelationResult(name, description, cases, witness is None, witness)
 
 
 def _chain_map_transform() -> EMTransform:
@@ -231,74 +80,73 @@ def _chain_map_transform() -> EMTransform:
     return diagonal_faces() * d + d * boundary_left() + d * boundary_right()
 
 
-def _chain_map(max_total: int) -> RelationResult:
-    t = _chain_map_transform()
-    return _compare(
-        "D-chain-map",
+def _suspended_boundary(tag: str, f: EMTransform):
+    sf = f.suspend()
+    lhs = sf * boundary_left().suspend() + sf * face0_left()
+    return f"F = {tag}, ", lhs, sf * boundary_left()
+
+
+def _commutes_with_d00(tag: str, f: EMTransform):
+    d00 = word_pair(face(0), face(0))
+    return f"F = {tag}, ", d00 * f.suspend(), f * d00
+
+
+def _vanishes(t: EMTransform):
+    return "", t, zero_transform(t.index_fn)
+
+
+# The symbolic identities: name -> (description, its parts, built on call).
+_SYMBOLIC = {
+    "simp0": (
+        "(d_0 (x) id)(s_0 (x) id) = id",
+        lambda: [("", face0_left() * degen0_left(), identity_transform())],
+    ),
+    "simp1": (
+        "SF o S(boundary (x) id) + SF o (d_0 (x) id) = SF o (boundary (x) id)",
+        lambda: [
+            _suspended_boundary(tag, f)
+            for tag, f in [
+                ("D", shuffle_map()), ("delta", diagonal_faces()),
+                ("d_0 (x) id", face0_left()),
+            ]
+        ],
+    ),
+    "simp2": (
+        "(id (x) boundary)(id (x) d_0) = (id (x) d_0)(id (x) boundary + d_0)",
+        lambda: [("", boundary_right() * face0_right(),
+                  face0_right() * boundary_right() + face0_right() * face0_right())],
+    ),
+    "simp3": (
+        "(id (x) boundary)(id (x) s_0) = (id (x) s_0)(id (x) boundary) + id (x) s_0 d_0",
+        lambda: [("", boundary_right() * degen0_right(),
+                  degen0_right() * boundary_right() + degen0_right() * face0_right())],
+    ),
+    "simp4": (
+        "S(delta) = delta + d_0 (x) d_0",
+        lambda: [("", diagonal_faces().suspend(),
+                  diagonal_faces() + word_pair(face(0), face(0)))],
+    ),
+    "simp5": (
+        "(d_0 (x) d_0) o SF = F o (d_0 (x) d_0)",
+        lambda: [
+            _commutes_with_d00(tag, f)
+            for tag, f in [
+                ("D", shuffle_map()), ("D^1", higher_shuffle(1)),
+                ("delta", diagonal_faces()), ("phi_1", diagonal_identity(1)),
+            ]
+        ],
+    ),
+    "D-chain-map": (
         "delta o D + D o (boundary (x) id) + D o (id (x) boundary) = 0",
-        t,
-        zero_transform(t.index_fn),
-        max_total,
-    )
-
-
-def _chain_map_numeric(max_total: int) -> RelationResult:
-    """The chain-map sum kills every element of every simplex model.
-
-    First on the fundamental simplex of Delta(i) (x) Delta(j), which by
-    naturality decides the general statement; then an exhaustive sweep
-    over all basis tensors in small dimensions as a direct corroboration.
-    """
-    name = "D-chain-map-numeric"
-    description = "chain-map sum vanishes on standard-simplex models"
-    t = _chain_map_transform()
-    max_n = min(max_total // 2, 4)
-    cases = 0
-    for i in range(max_n + 1):
-        for j in range(max_n + 1):
-            lm = delta_model(i, max(i + j, 1))
-            rm = delta_model(j, max(i + j, 1))
-            x = tensor(
-                lm.element([tuple(range(i + 1))], i),
-                rm.element([tuple(range(j + 1))], j),
-            )
-            out = evaluate_em(t, x, lm, rm)
-            cases += 1
-            if out.pairs:
-                return RelationResult(
-                    name, description, cases, False,
-                    f"fundamental simplex, bidegree ({i}, {j}): {len(out.pairs)} terms survive",
-                )
-    sweep_total = min(max_total, 4)
-    for a in range(1, 5):
-        for b in range(1, 5):
-            lm = delta_model(a, sweep_total)
-            rm = delta_model(b, sweep_total)
-            for i in range(sweep_total + 1):
-                for j in range(sweep_total - i + 1):
-                    for la in lm.basis(i):
-                        for lb in rm.basis(j):
-                            x = tensor(lm.element([la], i), rm.element([lb], j))
-                            out = evaluate_em(t, x, lm, rm)
-                            cases += 1
-                            if out.pairs:
-                                return RelationResult(
-                                    name, description, cases, False,
-                                    f"Delta({a}) (x) Delta({b}), bidegree ({i}, {j}), "
-                                    f"element {la} (x) {lb}",
-                                )
-    return RelationResult(name, description, cases, True)
+        lambda: [_vanishes(_chain_map_transform())],
+    ),
+}
 
 
 def _dwyer(k: int, max_total: int) -> RelationResult:
-    return _compare(
-        f"dwyer-{k}",
-        f"defect of D^{k} agrees with the diagonal identity on totals >= {2 * k}",
-        dwyer_defect(k),
-        diagonal_identity(k),
-        max_total,
-        min_total=2 * k,
-    )
+    description = f"defect of D^{k} agrees with the diagonal identity on totals >= {2 * k}"
+    return _symbolic(f"dwyer-{k}", description,
+                     [("", dwyer_defect(k), diagonal_identity(k))], max_total, 2 * k)
 
 
 def _recursion(k: int, max_total: int) -> RelationResult:
@@ -321,25 +169,88 @@ def _recursion(k: int, max_total: int) -> RelationResult:
         rhs = rhs + EMTransform(
             rhs.index_fn, lambda i, j: defect if (i, j) == (1, 0) else frozenset()
         )
-    return _compare(
-        f"recursion-{k}",
-        f"defect recursion at k = {k}",
-        dwyer_defect(k),
-        rhs,
-        max_total,
-    )
+    return _symbolic(f"recursion-{k}", f"defect recursion at k = {k}",
+                     [("", dwyer_defect(k), rhs)], max_total)
 
 
-_FIXED = {
-    "simp0": _simp0,
-    "simp1": _simp1,
-    "simp2": _simp2,
-    "simp3": _simp3,
-    "simp4": _simp4,
-    "simp5": _simp5,
-    "d0-word": _d0_word,
-    "D-chain-map": _chain_map,
-    "D-chain-map-numeric": _chain_map_numeric,
+def _all_short_words(max_len: int, max_index: int) -> list[Word]:
+    alphabet = [(kind, i) for kind in (FACE, DEGENERACY) for i in range(max_index + 1)]
+    return [Word(fs) for n in range(max_len + 1) for fs in product(alphabet, repeat=n)]
+
+
+def _d0_word(max_total: int) -> tuple[int, str | None]:
+    """d_0 o Sw = w o d_0 on normal forms, over all short words and degrees.
+
+    Both sides are compared wherever both are defined; additionally a
+    defined non-annihilating w must stay defined under suspension.
+    """
+    cases = 0
+    for w in _all_short_words(3, 3):
+        sw = w.suspend()
+        lhs_word, rhs_word = face(0) * sw, w * face(0)
+        for n in range(max_total + 1):
+            if is_defined(w, n):
+                if not is_defined(rhs_word, n + 1):
+                    return cases, (
+                        f"post-composition with d_0 changed definedness of {w} at {n}"
+                    )
+                if not normalize(w, n).is_zero and not is_defined(sw, n + 1):
+                    return cases, f"suspension broke definedness of nonzero {w} at {n}"
+            if not (is_defined(lhs_word, n + 1) and is_defined(rhs_word, n + 1)):
+                continue
+            cases += 1
+            lhs, rhs = normalize(lhs_word, n + 1), normalize(rhs_word, n + 1)
+            if lhs != rhs:
+                return cases, f"word {w} at degree {n}: {lhs} != {rhs}"
+    return cases, None
+
+
+def _chain_map_numeric(max_total: int) -> tuple[int, str | None]:
+    """The chain-map sum kills every element of every simplex model.
+
+    First on the fundamental simplex of Delta(i) (x) Delta(j), which by
+    naturality decides the general statement; then an exhaustive sweep
+    over all basis tensors in small dimensions as a direct corroboration.
+    """
+    t = _chain_map_transform()
+    max_n = min(max_total // 2, 4)
+    cases = 0
+    for i in range(max_n + 1):
+        for j in range(max_n + 1):
+            top = max(i + j, 1)
+            lm, rm = delta_model(i, top), delta_model(j, top)
+            x = tensor(lm.element([tuple(range(i + 1))], i),
+                       rm.element([tuple(range(j + 1))], j))
+            out = evaluate_em(t, x, lm, rm)
+            cases += 1
+            if out.pairs:
+                return cases, (f"fundamental simplex, bidegree ({i}, {j}): "
+                               f"{len(out.pairs)} terms survive")
+    sweep_total = min(max_total, 4)
+    for a in range(1, 5):
+        for b in range(1, 5):
+            lm, rm = delta_model(a, sweep_total), delta_model(b, sweep_total)
+            for i in range(sweep_total + 1):
+                for j in range(sweep_total - i + 1):
+                    for la in lm.basis(i):
+                        for lb in rm.basis(j):
+                            x = tensor(lm.element([la], i), rm.element([lb], j))
+                            out = evaluate_em(t, x, lm, rm)
+                            cases += 1
+                            if out.pairs:
+                                return cases, (
+                                    f"Delta({a}) (x) Delta({b}), bidegree ({i}, {j}), "
+                                    f"element {la} (x) {lb}"
+                                )
+    return cases, None
+
+
+# The other checks: name -> (description, check giving (cases, witness)).
+_CUSTOM = {
+    "d0-word": ("d_0 o Sw = w o d_0 at the word level", _d0_word),
+    "D-chain-map-numeric": (
+        "chain-map sum vanishes on standard-simplex models", _chain_map_numeric
+    ),
 }
 
 
@@ -366,8 +277,13 @@ def relation_names(max_k: int = 4, family: str = "all") -> list[str]:
 
 
 def check_relation(name: str, max_total: int = 8) -> RelationResult:
-    if name in _FIXED:
-        return _FIXED[name](max_total)
+    if name in _SYMBOLIC:
+        description, parts = _SYMBOLIC[name]
+        return _symbolic(name, description, parts(), max_total)
+    if name in _CUSTOM:
+        description, check = _CUSTOM[name]
+        cases, witness = check(max_total)
+        return RelationResult(name, description, cases, witness is None, witness)
     for prefix, fn, lo in (("dwyer-", _dwyer, 0), ("recursion-", _recursion, 1)):
         if name.startswith(prefix):
             try:

@@ -30,8 +30,16 @@ def run(capsys, *argv):
 
 
 def count_text(size):
-    """A refusal's count: exact below 10^30, else its order of magnitude."""
-    return f"{size:,}" if size < 10**30 else f"about 10^{math.floor(math.log10(size))}"
+    """A refusal's count: exact below 10^30, else its order of magnitude.
+
+    The float log10 of a count just under a power of ten can round up to
+    it, so the order is corrected against exact powers of ten.
+    """
+    if size < 10**30:
+        return f"{size:,}"
+    order = math.floor(math.log10(size))
+    order += (10 ** (order + 1) <= size) - (10**order > size)
+    return f"about 10^{order}"
 
 
 def test_verify_simp(capsys):
@@ -39,6 +47,13 @@ def test_verify_simp(capsys):
     assert code == 0
     assert out.count("PASS ") == 7
     assert "7/7 relations passed on window max_total=8" in out
+
+
+def test_verify_all_json_golden(capsys):
+    code, out, err = run(capsys, "verify", "all", "--max-total", "6", "--max-k", "3",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "verify_all_6.json").read_bytes()
 
 
 def test_verify_json_and_csv(capsys):
@@ -325,11 +340,21 @@ def test_no_subcommand(capsys):
     # a polynomial bound past the float range: the estimate's log is too
     (("delta", "--q", "5000", "--i", "5000", "--poly", "1" + "0" * 400),
      "more than 10^308"),
+    # C(m, 1) = m: the order of magnitude of an exact power of ten is its own
+    (("homology", "--model", "sphere", "--n", "1", "--max-degree", str(10**31)),
+     "about 10^31 basis"),
+    (("homology", "--model", "sphere", "--n", "1", "--max-degree", str(10**45)),
+     "about 10^45 basis"),
+    (("homology", "--model", "sphere", "--n", "1", "--max-degree", str(10**60)),
+     "about 10^60 basis"),
+    (("homology", "--model", "sphere", "--n", "1", "--max-degree", str(10**45 - 1)),
+     "about 10^44 basis"),
 ], ids=["delta-8-8", "sphere-algebra-40", "delta-model-20", "delta-5000-5000",
         "sphere-algebra-poly-3000000", "delta-5000-5000-poly-3000000",
         "sphere-algebra-200-poly-100000000", "delta-1000000-1000000",
         "delta-model-1000000", "boundary-model-1000000", "sphere-model-1000000",
-        "delta-5000-5000-poly-10^400"])
+        "delta-5000-5000-poly-10^400", "sphere-model-1-10^31", "sphere-model-1-10^45",
+        "sphere-model-1-10^60", "sphere-model-1-10^45-1"])
 def test_oversized_model_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -383,6 +408,9 @@ def test_size_estimate_is_the_exact_count_text(n, k):
     (sphere_model, 5, 300_000), (sphere_model, 12, 300_000),
     (sphere_model, 299_995, 300_000),
     (boundary_delta_model, 200_000, 1), (boundary_delta_model, 3, 400_000),
+    # C(m, 1) = m at exact powers of ten and just below one
+    (sphere_model, 1, 10**31), (sphere_model, 1, 10**45), (sphere_model, 1, 10**60),
+    (sphere_model, 1, 10**45 - 1),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_module_estimate_is_the_exact_count_text(build, n, degree):
     # exact below 10^30, else the order of magnitude of the closed form
@@ -393,11 +421,14 @@ def test_module_estimate_is_the_exact_count_text(build, n, degree):
     assert f" {size} basis elements" in str(info.value)
 
 
-@pytest.mark.parametrize("n", [10, 100, 3000, 30_000])
-def test_boundary_estimate_is_within_an_order_of_its_count(n):
+@pytest.mark.parametrize("n, degree", [
+    (10, 300_000), (100, 300_000), (3000, 300_000), (30_000, 300_000),
+    # far past n^2, where Delta(n)'s count and the sphere's agree to six places
+    (1000, 5 * 10**11), (10_000, 5 * 10**13),
+], ids=["10", "100", "3000", "30000", "1000-5*10^11", "10000-5*10^13"])
+def test_boundary_estimate_is_within_an_order_of_its_count(n, degree):
     # the boundary's estimate is the log of its count, Delta(n)'s less the
     # sphere's, not a bound
-    degree = 300_000
     size = boundary_delta_model(n, degree).dimension(degree)
     estimate = boundary_delta_model(n, degree).ln_dimension(degree)
     assert abs(estimate - math.log(size)) < 1e-6

@@ -10,6 +10,7 @@ import math
 import pathlib
 
 import pytest
+from diagnostics import dump_model, verify_simplicial_identities
 from hypothesis import given, settings, strategies as st
 from label_oracle import letter_label
 
@@ -23,12 +24,10 @@ from simpdelta.models import (
     algebra_model,
     boundary_delta_model,
     delta_model,
-    dump_model,
     evaluate_em,
     ln_binomial,
     sphere_model,
     tensor,
-    verify_simplicial_identities,
 )
 from simpdelta.relations import _chain_map_transform
 from simpdelta.transforms import higher_shuffle, shuffle_map
@@ -101,12 +100,14 @@ def test_closed_form_dimension_builds_nothing():
 
 
 # From the empty boundary of Delta(0) through degrees far past n^2, where
-# the boundary's count is the first term of inclusion-exclusion, to counts
-# on both sides of the 4,000 digits past which ln_binomial stops building
-# the binomial and takes Stirling's series.
+# the boundary's count is the first two terms of inclusion-exclusion (from
+# degree 449,990 on for n = 10; at degree 4,500 two terms would be off by
+# 7e-5), to counts on both sides of the 4,000 digits past which
+# ln_binomial stops building the binomial and takes Stirling's series.
 @pytest.mark.parametrize("build", [delta_model, boundary_delta_model, sphere_model])
 @pytest.mark.parametrize("n, degree", [
     (0, 0), (0, 5), (1, 0), (1, 1), (2, 7), (3, 2), (5, 12),
+    (10, 4_500), (10, 449_989), (10, 449_990),
     (10, 10**6), (100, 10**9), (1, 10**12), (2, 10**12), (10, 10**9), (3, 10**20),
     (2000, 12000), (3000, 10000), (4000, 12000), (5000, 12000),
     (6000, 14001), (7000, 14001), (10_000, 30_000),

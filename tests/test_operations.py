@@ -4,6 +4,7 @@ import math
 import warnings
 
 import pytest
+from diagnostics import shuffle_pairs, shuffle_square
 from hypothesis import given, strategies as st
 
 from simpdelta.homology import is_cycle, same_class
@@ -12,23 +13,13 @@ from simpdelta.operations import (
     BadRangeError,
     NotACycleWarning,
     NotNormalizedCycleError,
-    ShufflePair,
     anchored_shuffle_pairs,
     degeneracy_word,
     delta_i,
     delta_report,
     delta_via_em,
-    shuffle_pairs,
-    shuffle_square,
 )
 from simpdelta.words import degeneracy, face
-
-
-def test_shuffle_pair_validation():
-    p = ShufflePair((0, 2), (1, 3))
-    assert p.mu == (0, 2) and p.nu == (1, 3)
-    with pytest.raises(ValueError):
-        ShufflePair((0, 1), (1, 2))
 
 
 def test_pair_enumeration_counts_and_window():
@@ -37,22 +28,21 @@ def test_pair_enumeration_counts_and_window():
             pairs = shuffle_pairs(q, i)
             assert len(pairs) == math.comb(2 * i, i)
             window = set(range(q - i, q + i))
-            mus = []
-            for p in pairs:
-                assert len(p.mu) == i and len(p.nu) == i
-                assert set(p.mu) | set(p.nu) == window
-                assert list(p.mu) == sorted(p.mu)
-                assert list(p.nu) == sorted(p.nu)
-                mus.append(p.mu)
-            assert mus == sorted(mus), "lexicographic in mu"
+            for mu, nu in pairs:
+                assert len(mu) == i and len(nu) == i
+                assert set(mu) | set(nu) == window
+                assert list(mu) == sorted(mu)
+                assert list(nu) == sorted(nu)
+            assert pairs == sorted(pairs), "lexicographic in mu"
             anchored = anchored_shuffle_pairs(q, i)
             assert len(anchored) == math.comb(2 * i - 1, i - 1)
-            assert all(p.mu[0] == q - i for p in anchored)
+            assert all(mu[0] == q - i for mu, _ in anchored)
+            assert anchored == sorted(anchored), "lexicographic in mu"
             assert set(anchored) <= set(pairs)
 
 
 def test_frozen_anchored_pairs():
-    assert [(p.mu, p.nu) for p in anchored_shuffle_pairs(2, 2)] == [
+    assert anchored_shuffle_pairs(2, 2) == [
         ((0, 1), (2, 3)),
         ((0, 2), (1, 3)),
         ((0, 3), (1, 2)),
@@ -75,9 +65,10 @@ def test_degeneracy_word_order():
 
 @given(st.integers(1, 5), st.data())
 def test_anchored_pairs_hypothesis(q, data):
+    """The anchored pairs are the full enumeration filtered on mu's first index."""
     i = data.draw(st.integers(1, q))
-    anchored = set(anchored_shuffle_pairs(q, i))
-    assert anchored == {p for p in shuffle_pairs(q, i) if p.mu[0] == q - i}
+    anchored = anchored_shuffle_pairs(q, i)
+    assert anchored == [(mu, nu) for mu, nu in shuffle_pairs(q, i) if mu[0] == q - i]
 
 
 def test_delta2_frozen_value():

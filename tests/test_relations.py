@@ -6,6 +6,7 @@ shows up as a failure, not as a quietly weaker check.
 
 import pytest
 
+from simpdelta import relations
 from simpdelta.relations import (
     FAMILIES,
     RelationResult,
@@ -13,8 +14,15 @@ from simpdelta.relations import (
     check_relation,
     relation_names,
 )
-from simpdelta.transforms import diagonal_identity, dwyer_defect, word_pair
-from simpdelta.words import Word, face
+from simpdelta.transforms import (
+    diagonal_faces,
+    diagonal_identity,
+    dwyer_defect,
+    face0_left,
+    identity_transform,
+    word_pair,
+)
+from simpdelta.words import IDENTITY, Word, face
 
 WINDOW6_CASES = {
     "simp0": 28,
@@ -145,3 +153,42 @@ def test_result_shape():
     assert result.name == "simp0"
     assert result.description
     assert bool(result) is result.passed
+
+
+def test_parts_add_up_and_the_first_failure_is_the_witness():
+    """Every part's cases count, also after a part fails; the first failing
+    part gives the witness, after its label."""
+    parts = [
+        ("F = a, ", identity_transform(), identity_transform()),
+        # fails at (1, 1), its fifth bidegree
+        ("F = b, ", diagonal_faces().suspend(), diagonal_faces()),
+        # fails at (1, 0), its third
+        ("F = c, ", face0_left(), face0_left() + word_pair(face(1), IDENTITY)),
+        ("F = d, ", identity_transform(), identity_transform()),
+    ]
+    assert relations._symbolic("x", "y", parts, 5) == RelationResult(
+        "x", "y", 21 + 5 + 3 + 21, False,
+        "F = b, bidegree (1, 1): left-only [], right-only ['(d0 (x) d0)']",
+    )
+
+
+def test_a_broken_transform_fails_with_its_witness(monkeypatch):
+    """With d_0 (x) d_0 added to delta, keeping its index function, the
+    relations that read delta fail where they did before the catalog
+    became a table, with the same cases and witness text."""
+    honest = relations.diagonal_faces
+    monkeypatch.setattr(
+        relations, "diagonal_faces", lambda: honest() + word_pair(face(0), face(0))
+    )
+    assert check_relation("simp4", 5) == RelationResult(
+        "simp4", "S(delta) = delta + d_0 (x) d_0", 5, False,
+        "bidegree (1, 1): left-only [], right-only ['(d0 (x) d0)', '(d1 (x) d1)']",
+    )
+    assert check_relation("D-chain-map", 5) == RelationResult(
+        "D-chain-map", "delta o D + D o (boundary (x) id) + D o (id (x) boundary) = 0",
+        2, False, "bidegree (0, 1): left-only ['(id (x) d0)'], right-only []",
+    )
+    # simp1 and simp5 hold for any F, so every part of each still passes
+    assert check_relation("simp1", 5).cases == 3 * 21
+    assert check_relation("simp5", 5).cases == 4 * 21
+    assert check_relation("simp1", 5) and check_relation("simp5", 5)
