@@ -53,7 +53,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb, exp, expm1, inf, lgamma, log, log1p
 from operator import itemgetter
 
-from .words import FACE, Word, face, letter_theta, walk
+from .words import Word, face, letter_theta, walk
 from .words import OutOfRangeError, TruncationOverflowError  # re-exported
 
 
@@ -310,12 +310,9 @@ class ModuleModel(Model):
         return img if self._member(img) else None
 
     def _face_table(self, q: int) -> tuple:
-        """``theta_label`` through each one-letter θ, looked up by label."""
+        """``theta_label`` through each face's compiled θ, looked up by label."""
         index = {lbl: c for c, lbl in enumerate(self.basis(q - 1))}
-        identity = tuple(range(q + 1))
-        gathers = [
-            theta_map(letter_theta(identity, (FACE, r))) for r in range(q + 1)
-        ]
+        gathers = [self._compile(face(r), q)[1] for r in range(q + 1)]
         rule = self.theta_label
         rows = []
         for lbl in self.basis(q):
@@ -365,16 +362,20 @@ class BoundaryDeltaModel(ModuleModel):
     def ln_dimension(self, degree):
         # Delta(n)'s count less the sphere's, by their ratio.  Far past n^2
         # the two agree to many places and their logs cancel, so there it
-        # is inclusion-exclusion to two terms: the labels missing one vertex,
-        # n + 1 times C(n + degree, n - 1), less those missing two, a share
-        # r = n(n - 1) / (2(n + degree)) of the first; the third term is
-        # under r^2, so r <= 10^-4 keeps it below 10^-8
+        # is inclusion-exclusion to three terms: the labels missing one
+        # vertex, n + 1 times C(n + degree, n - 1), less those missing two,
+        # a share r = n(n - 1) / (2(n + degree)) of the first, plus those
+        # missing three, a share r2 = (n - 1)(n - 2) / (3(n + degree - 1))
+        # of the second (none when r = 0, at n = 1); the fourth term is
+        # under r^3 / 3, so r <= 10^-3 keeps it below 10^-9
         n = self.n
         if degree < 0 or n == 0:
             return -inf
-        if 10**4 * n * (n - 1) <= 2 * (n + degree):
+        if 10**3 * n * (n - 1) <= 2 * (n + degree):
             r = n * (n - 1) / (2 * (n + degree))
-            return log(n + 1) + ln_binomial(n - 1, degree + 1) + log1p(-r)
+            r2 = (n - 1) * (n - 2) / (3 * (n + degree - 1)) if r else 0.0
+            return (log(n + 1) + ln_binomial(n - 1, degree + 1)
+                    + log1p(-r * (1 - r2)))
         whole = ln_binomial(degree + 1, n)
         gap = -expm1((ln_binomial(n, degree - n) if degree >= n else -inf) - whole)
         return whole + log(gap)
@@ -582,46 +583,45 @@ def tensor(x: F2Element, y: F2Element) -> TensorElement:
     )
 
 
-_MISSING = object()  # an image evaluate_em has not asked for yet
-
-
 def evaluate_em(
     transform, element: TensorElement, left_model: Model, right_model: Model
 ) -> TensorElement:
     """Apply a bidegree family to a tensor element, term by term.
 
     Terms whose target bidegree has a negative component contribute zero.
-    The terms come from the transform's word table at the source
-    bidegree (``EMTransform.word_table``), so words are looked up by
-    integer id, never hashed.  Each side keeps one row per distinct
-    label: its one-label element and its images by word id, each image
-    asked of ``apply_word`` once per call, in the order the terms and
-    pairs first ask for it; a right image is not asked for where the left
-    one is zero.  ``apply_word`` reads the image from its plan's table.
+    The element's pairs are visited outside and ``transform.terms(i, j)``
+    inside.  Each side keeps one row per distinct label: its one-label
+    element and a dict from word to image label, None for zero (words hash
+    by identity).  So an image is asked of ``apply_word`` once per (word,
+    label) per call, and a right image is not asked for where the left one
+    is zero.  ``apply_word`` reads the image from its plan's table.
     """
     i, j = element.left_degree, element.right_degree
     k, l = transform.target(i, j)
     acc: set = set()
     if k >= 0 and l >= 0 and element.pairs:
-        lwords, rwords, lids, rids = transform.word_table(i, j)
-        # label -> (one-label element, [image label, None for zero, by word id])
-        lrows = {a: (left_model.element([a], i), [_MISSING] * len(lwords))
+        terms = transform.terms(i, j)
+        # label -> (one-label element, {word: image label, None for zero})
+        lrows = {a: (left_model.element([a], i), {})
                  for a in {a for a, _ in element.pairs}}
-        rrows = {b: (right_model.element([b], j), [_MISSING] * len(rwords))
+        rrows = {b: (right_model.element([b], j), {})
                  for b in {b for _, b in element.pairs}}
-        pairs = [(lrows[a], rrows[b]) for a, b in element.pairs]
-        for li, ri in zip(lids, rids):
-            for (xa, limages), (xb, rimages) in pairs:
-                la = limages[li]
-                if la is _MISSING:
-                    out = left_model.apply_word(lwords[li], xa)
-                    la = limages[li] = next(iter(out.support), None)
+        for a, b in element.pairs:
+            xa, limages = lrows[a]
+            xb, rimages = rrows[b]
+            for wl, wr in terms:
+                if wl in limages:
+                    la = limages[wl]
+                else:
+                    out = left_model.apply_word(wl, xa)
+                    la = limages[wl] = next(iter(out.support), None)
                 if la is None:
                     continue
-                lb = rimages[ri]
-                if lb is _MISSING:
-                    out = right_model.apply_word(rwords[ri], xb)
-                    lb = rimages[ri] = next(iter(out.support), None)
+                if wr in rimages:
+                    lb = rimages[wr]
+                else:
+                    out = right_model.apply_word(wr, xb)
+                    lb = rimages[wr] = next(iter(out.support), None)
                 if lb is None:
                     continue
                 term = (la, lb)
@@ -630,4 +630,3 @@ def evaluate_em(
                 else:
                     acc.add(term)
     return TensorElement(k, l, frozenset(acc))
-

@@ -76,9 +76,6 @@ def _affine(a1, b1, c1, a2, b2, c2) -> IndexFunction:
 
 
 TensorWord = tuple[Word, Word]
-# distinct left words, distinct right words, then each term's left word id
-# and right word id as two parallel tuples (see EMTransform.word_table)
-WordTable = tuple[tuple[Word, ...], tuple[Word, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class EMTransform:
@@ -91,8 +88,8 @@ class EMTransform:
     (the built-in constructors and combinators preserve this; `word_pair`
     leaves it to the caller).
 
-    Per bidegree the transform keeps its raw terms, their reduced value,
-    and the terms' word table (``word_table``), each built on first use.
+    Per bidegree the transform keeps its raw terms and their reduced
+    value, each built on first use.
     """
 
     def __init__(self, index_fn: IndexFunction, rule):
@@ -100,7 +97,6 @@ class EMTransform:
         self._rule = rule
         self._terms: dict[tuple[int, int], frozenset[TensorWord]] = {}
         self._reduced: dict[tuple[int, int], frozenset] = {}
-        self._tables: dict[tuple[int, int], WordTable] = {}
 
     def target(self, i: int, j: int) -> tuple[int, int]:
         return self.index_fn(i, j)
@@ -113,29 +109,6 @@ class EMTransform:
         if key not in self._terms:
             self._terms[key] = frozenset(self._rule(i, j))
         return self._terms[key]
-
-    def word_table(self, i: int, j: int) -> WordTable:
-        """The raw terms at a bidegree, indexed by integer word ids.
-
-        Returns (left words, right words, left ids, right ids): the
-        distinct left and right words in the order ``terms(i, j)`` first
-        yields them, and for the t-th term in that iteration order its
-        (left ids[t], right ids[t]) into those tuples.  The ids are two
-        flat tuples, not a tuple of pairs, because a pair costs a tuple
-        per term for as long as the transform lives.  Built once per
-        bidegree, so a caller that memoizes per word can key by id
-        instead of hashing a Word.
-        """
-        key = (i, j)
-        table = self._tables.get(key)
-        if table is None:
-            lids: dict[Word, int] = {}
-            rids: dict[Word, int] = {}
-            terms = self.terms(i, j)
-            left = tuple([lids.setdefault(wl, len(lids)) for wl, _ in terms])
-            right = tuple([rids.setdefault(wr, len(rids)) for _, wr in terms])
-            table = self._tables[key] = (tuple(lids), tuple(rids), left, right)
-        return table
 
     def reduced(self, i: int, j: int) -> frozenset[tuple[NormalForm, NormalForm]]:
         """Canonical value at a bidegree: normal-form pairs after cancellation."""

@@ -435,6 +435,52 @@ def test_boundary_estimate_is_within_an_order_of_its_count(n, degree):
     assert math.floor(estimate / math.log(10)) == math.floor(math.log10(size))
 
 
+def ln_boundary_count(n, degree):
+    """log of the boundary's count in floats, one factor per vertex.
+
+    Delta(n)'s count C(n + d + 1, n) is the product of 1 + (d + 1)/t over
+    t = 1 .. n, and the sphere's share of it the product of
+    1 - (n + 1)/(d + 1 + t); each log is an ``fsum`` of log1p terms, so
+    no two large logs cancel.
+    """
+    d = degree
+    whole = math.fsum(math.log1p((d + 1) / t) for t in range(1, n + 1))
+    share = math.fsum(math.log1p(-(n + 1) / (d + 1 + t)) for t in range(1, n + 1))
+    return whole + math.log(-math.expm1(share))
+
+
+def _near_switch(n, scale, past):
+    # n(n - 1) / (2(n + degree)) a little over 1/scale for past < 0, a
+    # little under it for past > 0
+    return scale * n * (n - 1) // 2 - n + past
+
+
+@pytest.mark.parametrize("n, degree", [
+    (10_000, 5 * 10**13), (10_000, _near_switch(10_000, 10**4, -1000)),
+    (10_000, _near_switch(10_000, 10**3, -1000)),
+    (10_000, _near_switch(10_000, 10**3, 1000)),
+])
+def test_the_float_boundary_count_is_the_exact_one(n, degree):
+    size = boundary_delta_model(n, degree).dimension(degree)
+    assert abs(ln_boundary_count(n, degree) - math.log(size)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [10_000, 20_000, 50_000, 100_000])
+@pytest.mark.parametrize("scale, past, tolerance", [
+    (10**4, -1000, 1e-6), (10**3, -1000, 1e-6),
+    # just inside the switch, where two terms would be off by about 7e-7
+    (10**3, 1000, 1e-7),
+], ids=["10^4", "10^3", "10^3-inside"])
+def test_boundary_estimate_near_its_switch_is_the_log_of_its_count(
+        n, scale, past, tolerance):
+    # near the switch to inclusion-exclusion, where the ratio of two large
+    # logs loses digits as n grows; the exact count at n = 100,000 takes
+    # seconds, so the float count stands in for it
+    degree = _near_switch(n, scale, past)
+    estimate = boundary_delta_model(n, degree).ln_dimension(degree)
+    assert abs(estimate - ln_boundary_count(n, degree)) < tolerance
+
+
 def test_an_algebra_without_generators_runs_at_once(capsys):
     # no sphere label below degree 5: the unit is the whole basis, and no
     # loop runs to the polynomial bound

@@ -8,6 +8,8 @@ of the suite relies on.
 import json
 import math
 import pathlib
+from collections import Counter
+from itertools import chain
 
 import pytest
 from diagnostics import dump_model, verify_simplicial_identities
@@ -100,14 +102,15 @@ def test_closed_form_dimension_builds_nothing():
 
 
 # From the empty boundary of Delta(0) through degrees far past n^2, where
-# the boundary's count is the first two terms of inclusion-exclusion (from
-# degree 449,990 on for n = 10; at degree 4,500 two terms would be off by
-# 7e-5), to counts on both sides of the 4,000 digits past which
-# ln_binomial stops building the binomial and takes Stirling's series.
+# the boundary's count is the first three terms of inclusion-exclusion
+# (from degree 44,990 on for n = 10; at degree 4,500 three terms would be
+# off by 1.7e-7, and two by 7e-5), to counts on both sides of the 4,000
+# digits past which ln_binomial stops building the binomial and takes
+# Stirling's series.
 @pytest.mark.parametrize("build", [delta_model, boundary_delta_model, sphere_model])
 @pytest.mark.parametrize("n, degree", [
     (0, 0), (0, 5), (1, 0), (1, 1), (2, 7), (3, 2), (5, 12),
-    (10, 4_500), (10, 449_989), (10, 449_990),
+    (10, 4_500), (10, 44_989), (10, 44_990), (10, 449_989), (10, 449_990),
     (10, 10**6), (100, 10**9), (1, 10**12), (2, 10**12), (10, 10**9), (3, 10**20),
     (2000, 12000), (3000, 10000), (4000, 12000), (5000, 12000),
     (6000, 14001), (7000, 14001), (10_000, 30_000),
@@ -562,10 +565,24 @@ def _per_word_evaluate_em(transform, element, left_model, right_model):
     return TensorElement(k, l, frozenset(acc))
 
 
+def _one_pair_inputs(left, right):
+    """Per bidegree, the first and last labels of each side, one pair each."""
+    for i in range(left.max_degree + 1):
+        for j in range(right.max_degree + 1):
+            for a in {*left.basis(i)[:1], *left.basis(i)[-1:]}:
+                for b in {*right.basis(j)[:1], *right.basis(j)[-1:]}:
+                    yield tensor(left.element([a], i), right.element([b], j))
+
+
 @EM_TRANSFORMS
 @EM_MODELS
 def test_evaluate_em_makes_the_per_word_calls(left, right, transform, monkeypatch):
-    # the word table changes how images are looked up, not which are made
+    # rows keyed by word change how images are looked up, not which are
+    # made: one call per (word, label), and a right image only where the
+    # left one is nonzero; with one pair, in the same order too.  Where
+    # several pairs raise, the calls before the raise follow the loop
+    # order (pairs outside, terms inside), so only the outcome and the
+    # lack of repeats are compared there
     apply_word = Model.apply_word
     calls = []
 
@@ -574,13 +591,23 @@ def test_evaluate_em_makes_the_per_word_calls(left, right, transform, monkeypatc
         return apply_word(model, w, x)
 
     monkeypatch.setattr(Model, "apply_word", record)
-    for t in _em_inputs(left, right):
+    several = 0
+    for t in chain(_one_pair_inputs(left, right), _em_inputs(left, right)):
         runs = []
         for evaluate in (_per_word_evaluate_em, evaluate_em):
             calls.clear()
             outcome = _outcome(lambda: evaluate(transform, t, left, right))
             runs.append((outcome, list(calls)))
-        assert runs[1] == runs[0]
+        (want, want_calls), (got, got_calls) = runs
+        assert got == want
+        if len(t.pairs) <= 1:
+            assert got_calls == want_calls
+        else:
+            assert len(set(got_calls)) == len(got_calls)
+            if isinstance(want, TensorElement):
+                several += 1
+                assert Counter(got_calls) == Counter(want_calls)
+    assert several
 
 
 def test_image_tables_are_bounded_by_the_basis(monkeypatch):

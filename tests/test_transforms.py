@@ -201,23 +201,3 @@ def test_dump_bidegree_schema():
         "target": [1, 1],
         "terms": [["id", "s0 d0"]],
     }
-
-
-@pytest.mark.parametrize("transform", [
-    shuffle_map(), higher_shuffle(2), dwyer_defect(1),
-    higher_shuffle(1).twist() * boundary_left(),
-], ids=["D", "D2", "A1", "twisted-composite"])
-def test_word_table_round_trips(transform):
-    for i in range(-1, 5):
-        for j in range(-1, 5):
-            lwords, rwords, lids, rids = transform.word_table(i, j)
-            terms = transform.terms(i, j)
-            # one id pair per term, in the terms' iteration order
-            assert len(lids) == len(rids) == len(terms)
-            assert [(lwords[a], rwords[b]) for a, b in zip(lids, rids)] == list(terms)
-            # distinct words, each used by some term
-            assert len(set(lwords)) == len(lwords)
-            assert len(set(rwords)) == len(rwords)
-            assert set(lids) == set(range(len(lwords)))
-            assert set(rids) == set(range(len(rwords)))
-            assert transform.word_table(i, j) is transform.word_table(i, j)
