@@ -109,11 +109,12 @@ def _check_size(model):
 
 # The largest shuffle-map term count, C(i+j, i) at the top bidegree, that
 # `verify` and a `dump-transform` of the shuffle map, a refinement or a
-# defect will build toward.  It admits window 16 (C(16, 8) = 12,870 terms at
-# (8, 8)) and refuses window 18 (48,620) and beyond; window 14 already takes
-# tens of seconds and some hundred MB.  The refinements D^k have at least
-# the shuffle map's terms, so the estimate is a lower bound for them; their
-# k + 1 levels D^0 .. D^k are counted against the same budget.
+# defect will build toward, and the most faces a face sum's dump takes.  It
+# admits window 16 (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18
+# (48,620) and beyond; window 14 already takes tens of seconds and some
+# hundred MB.  The refinements D^k have at least the shuffle map's terms, so
+# the estimate is a lower bound for them; their k + 1 levels D^0 .. D^k are
+# counted against the same budget.
 TERM_BUDGET = 20_000
 
 
@@ -368,9 +369,15 @@ def _cmd_dump(args) -> int:
     if args.i < 0 or args.j < 0:
         raise _ConfigError("--i and --j must be >= 0")
     # the shuffle map and the transforms built from it have at least C(i+j, i)
-    # terms at (i, j), every other one at most max(i, j) + 1
+    # terms at (i, j), a face sum one per face, every other one term
     if args.name in ("shuffle", "refinement", "defect"):
         _check_terms(args.i, args.j)
+    faces = {"boundary-left": args.i, "boundary-right": args.j,
+             "diagonal-faces": min(args.i, args.j)}.get(args.name)
+    if faces is not None:
+        _refuse_over(TERM_BUDGET, log(faces + 1), lambda: faces + 1,
+                     f"{args.name} would have {{}} terms at bidegree "
+                     f"({args.i}, {args.j})")
     if args.name in ("refinement", "defect"):
         _refuse_over(TERM_BUDGET, log(args.k + 1), lambda: args.k + 1,
                      f"the refinements D^0 .. D^{args.k} would be {{}} levels")

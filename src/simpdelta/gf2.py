@@ -10,10 +10,21 @@ with the pivot whose bit is its current highest set bit, until that bit
 has no pivot (the column becomes a new pivot) or the column is zero.
 Columns are taken in their given order and the highest set bit is the
 pivot, so the pivot bits, and every canonical object derived from them,
-are reproducible.
+are reproducible.  ``mod2`` is the one mod-2 sum of a sequence of terms.
 """
 
 from __future__ import annotations
+
+
+def mod2(items) -> frozenset:
+    """The items that occur an odd number of times: equal items cancel in pairs."""
+    odd = set()
+    for x in items:
+        if x in odd:
+            odd.remove(x)
+        else:
+            odd.add(x)
+    return frozenset(odd)
 
 
 def _reduce(v: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:

@@ -53,6 +53,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb, exp, expm1, inf, lgamma, log, log1p
 from operator import itemgetter
 
+from .gf2 import mod2
 from .words import Word, face, letter_theta, walk
 from .words import OutOfRangeError, TruncationOverflowError  # re-exported
 
@@ -177,7 +178,7 @@ class Model:
         return self.element((), degree)
 
     def element(self, labels, degree: int) -> F2Element:
-        """The mod-2 sum of a sequence of labels in one degree.
+        """The mod-2 sum (``gf2.mod2``) of a sequence of labels in one degree.
 
         Zero and one-label elements are shared: one per (degree, label),
         made on first use and kept on the model, like ``_basis``.
@@ -188,13 +189,7 @@ class Model:
             if x is None:
                 x = self._elements[key] = F2Element(degree, frozenset(labels))
             return x
-        support = frozenset(labels)
-        if len(support) != len(labels):  # repeated labels cancel in pairs
-            acc: set = set()
-            for lbl in labels:
-                acc ^= {lbl}
-            support = frozenset(acc)
-        return F2Element(degree, support)
+        return F2Element(degree, mod2(labels))
 
     def apply_word(self, w: Word, x: F2Element) -> F2Element:
         """Act by ``w``: its compiled plan at ``x.degree``, then one image per label.
@@ -258,10 +253,10 @@ class Model:
 
     def boundary(self, x: F2Element) -> F2Element:
         """Sum of all faces, the associated-complex differential."""
-        acc = self.zero(x.degree - 1)
+        labels = []
         for r in range(x.degree + 1):
-            acc += self.apply_word(face(r), x)
-        return acc
+            labels.extend(self.apply_word(face(r), x).support)
+        return self.element(labels, x.degree - 1)
 
     def element_str(self, x: F2Element) -> str:
         if not x.support:
@@ -518,19 +513,21 @@ class AlgebraModel(Model):
             raise DegreeMismatchError(
                 f"cannot multiply degrees {x.degree} and {y.degree}"
             )
-        acc: set = set()
-        for a in x.support:
-            for b in y.support:
-                prod = tuple(sorted(a + b))
-                if len(prod) > self.poly_bound:
-                    if self.quotient:
-                        continue
-                    raise TruncationOverflowError(
-                        f"product of polynomial degrees {len(a)} and {len(b)} "
-                        f"exceeds the bound {self.poly_bound}"
-                    )
-                acc ^= {prod}
-        return F2Element(x.degree, frozenset(acc))
+        prods = [self.product(a, b) for a in x.support for b in y.support]
+        return self.element([p for p in prods if p is not None], x.degree)
+
+    def product(self, a: tuple, b: tuple) -> tuple | None:
+        """Two monomials' factors sorted together; past the polynomial bound,
+        None in the quotient and TruncationOverflowError in the window."""
+        prod = tuple(sorted(a + b))
+        if len(prod) <= self.poly_bound:
+            return prod
+        if self.quotient:
+            return None
+        raise TruncationOverflowError(
+            f"product of polynomial degrees {len(a)} and {len(b)} "
+            f"exceeds the bound {self.poly_bound}"
+        )
 
     def unit(self, degree: int) -> F2Element:
         return self.element([()], degree)
@@ -598,7 +595,7 @@ def evaluate_em(
     """
     i, j = element.left_degree, element.right_degree
     k, l = transform.target(i, j)
-    acc: set = set()
+    image_pairs = []
     if k >= 0 and l >= 0 and element.pairs:
         terms = transform.terms(i, j)
         # label -> (one-label element, {word: image label, None for zero})
@@ -622,11 +619,6 @@ def evaluate_em(
                 else:
                     out = right_model.apply_word(wr, xb)
                     lb = rimages[wr] = next(iter(out.support), None)
-                if lb is None:
-                    continue
-                term = (la, lb)
-                if term in acc:  # equal terms cancel in pairs
-                    acc.remove(term)
-                else:
-                    acc.add(term)
-    return TensorElement(k, l, frozenset(acc))
+                if lb is not None:
+                    image_pairs.append((la, lb))
+    return TensorElement(k, l, mod2(image_pairs))

@@ -71,20 +71,18 @@ def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
             NotACycleWarning,
             stacklevel=2,
         )
-    acc = model.zero(q + i)
+    labels = []
     for mu, nu in anchored_shuffle_pairs(q, i):
         a = model.apply_word(degeneracy_word(nu), z)
         b = model.apply_word(degeneracy_word(mu), z)
-        acc += model.multiply(a, b)
-    return acc
+        labels.extend(model.multiply(a, b).support)
+    return model.element(labels, q + i)
 
 
 def _multiply_pairs(model: AlgebraModel, pairs_element) -> F2Element:
-    k = pairs_element.left_degree
-    acc = model.zero(k)
-    for a, b in pairs_element.pairs:
-        acc += model.multiply(model.element([a], k), model.element([b], k))
-    return acc
+    prods = [model.product(a, b) for a, b in pairs_element.pairs]
+    return model.element([p for p in prods if p is not None],
+                         pairs_element.left_degree)
 
 
 def delta_via_em(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
@@ -172,10 +170,8 @@ def delta_report(
                 if not usable:
                     break
                 picks = rng.randrange(1, 1 << len(usable))
-                b = model.zero(q)
-                for c, vec in enumerate(usable):
-                    if picks >> c & 1:
-                        b += vec
+                b = model.element([lbl for c, vec in enumerate(usable)
+                                   if picks >> c & 1 for lbl in vec.support], q)
                 if not b or any(len(label) > cap for label in z.support | b.support):
                     continue
                 perturbed = z + b
@@ -184,6 +180,8 @@ def delta_report(
                 )
                 stable = stable and ok
                 done += 1
-            report["class_stable_under_boundary_perturbations"] = stable
+            # with nothing checked there is no verdict, as with no class
+            report["class_stable_under_boundary_perturbations"] = (
+                stable if done else None)
             report["perturbations_checked"] = done
     return report

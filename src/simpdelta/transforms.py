@@ -9,9 +9,9 @@ and every check is performed over an explicit window.
 Equality of two families at a bidegree is decided syntactically: each
 term is normalized at its source degrees, terms whose target degree has a
 negative component are dropped (they denote the zero map), and the
-surviving normal-form pairs cancel mod 2.  Distinct epi-mono normal forms
-act on linearly independent vectors of the standard-simplex models, so
-this comparison is sound and complete for the induced natural
+surviving normal-form pairs are summed by ``gf2.mod2``.  Distinct epi-mono
+normal forms act on linearly independent vectors of the standard-simplex
+models, so this comparison is sound and complete for the induced natural
 transformations.
 """
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .gf2 import mod2
 from .words import (
     DEGENERACY,
     IDENTITY,
@@ -114,21 +115,15 @@ class EMTransform:
         """Canonical value at a bidegree: normal-form pairs after cancellation."""
         key = (i, j)
         if key not in self._reduced:
-            acc: set[tuple[NormalForm, NormalForm]] = set()
-            if i >= 0 and j >= 0:
-                k, l = self.target(i, j)
-                if k >= 0 and l >= 0:
-                    for wl, wr in self.terms(i, j):
-                        nl = normalize(wl, i)
-                        nr = normalize(wr, j)
-                        if nl.is_zero or nr.is_zero:
-                            continue
-                        term = (nl, nr)
-                        if term in acc:  # equal terms cancel in pairs
-                            acc.remove(term)
-                        else:
-                            acc.add(term)
-            self._reduced[key] = frozenset(acc)
+            pairs = []
+            k, l = self.target(i, j)
+            if k >= 0 and l >= 0:  # terms(i, j) is empty where i or j < 0
+                for wl, wr in self.terms(i, j):
+                    nl = normalize(wl, i)
+                    nr = normalize(wr, j)
+                    if not (nl.is_zero or nr.is_zero):
+                        pairs.append((nl, nr))
+            self._reduced[key] = mod2(pairs)
         return self._reduced[key]
 
     def __add__(self, other: "EMTransform") -> "EMTransform":
@@ -145,18 +140,12 @@ class EMTransform:
         """Composition: self applied after other."""
 
         def rule(i, j):
-            acc: set[TensorWord] = set()
             gterms = other.terms(i, j)
-            if gterms:
-                p, q = other.target(i, j)
-                for fl, fr in self.terms(p, q):
-                    for gl, gr in gterms:
-                        term = (fl * gl, fr * gr)
-                        if term in acc:  # equal products cancel in pairs
-                            acc.remove(term)
-                        else:
-                            acc.add(term)
-            return acc
+            if not gterms:
+                return frozenset()
+            p, q = other.target(i, j)
+            return mod2([(fl * gl, fr * gr)
+                         for fl, fr in self.terms(p, q) for gl, gr in gterms])
 
         return EMTransform(self.index_fn.after(other.index_fn), rule)
 

@@ -119,6 +119,14 @@ def test_delta_noncycle_warning(capsys):
     assert rep["is_cycle"] is False
 
 
+def test_no_stability_verdict_without_a_perturbation(capsys):
+    # at P = 3 no normalized boundary fits half the bound, so none is checked
+    code, out, _ = run(capsys, "delta", "--q", "2", "--i", "2", "--poly", "3")
+    report = json.loads(out)
+    assert code == 0 and report["perturbations_checked"] == 0
+    assert report["class_stable_under_boundary_perturbations"] is None
+
+
 def test_delta_text_format(capsys):
     code, out, _ = run(capsys, "delta", "--q", "2", "--i", "2",
                        "--format", "text")
@@ -211,10 +219,22 @@ def test_dump_transform_at_a_large_k(capsys, name):
     (("--name", "diagonal-identity", "--k", "40"), ["id", "id"]),
 ], ids=["identity", "face0-left", "diagonal-identity"])
 def test_small_transforms_are_dumped_at_a_large_bidegree(capsys, argv, term):
-    # only the shuffle map and the transforms built from it are term-checked
+    # a one-term transform is not term-checked
     code, out, err = run(capsys, "dump-transform", *argv, "--i", "40", "--j", "40")
     assert (code, err) == (0, "")
     assert json.loads(out)["terms"] == [term]
+
+
+@pytest.mark.parametrize("name, i, j", [
+    ("boundary-left", 19_999, 0),
+    ("boundary-right", 0, 19_999),
+    ("diagonal-faces", 19_999, 30_000),
+])
+def test_face_sums_at_the_term_budget_are_dumped(capsys, name, i, j):
+    code, out, err = run(capsys, "dump-transform", "--name", name,
+                         "--i", str(i), "--j", str(j))
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["terms"]) == cli.TERM_BUDGET
 
 
 def test_dump_transform_argument_errors(capsys):
@@ -548,8 +568,18 @@ def test_work_budget_admits_the_calibration_runs(model, work, admitted):
      "D^0 .. D^1000000 would be 1,000,001 levels"),
     (("dump-transform", "--name", "defect", "--k", "20000", "--i", "0", "--j", "0"),
      "D^0 .. D^20000 would be 20,001 levels"),
+    # a face sum has its exact count: i + 1, j + 1 or min(i, j) + 1 faces
+    (("dump-transform", "--name", "boundary-left", "--i", "100000000", "--j", "0"),
+     "boundary-left would have 100,000,001 terms at bidegree (100000000, 0)"),
+    (("dump-transform", "--name", "boundary-right", "--i", "0", "--j", "20000"),
+     "boundary-right would have 20,001 terms at bidegree (0, 20000)"),
+    (("dump-transform", "--name", "diagonal-faces", "--i", "100000000",
+      "--j", "100000000"),
+     "diagonal-faces would have 100,000,001 terms at bidegree (100000000, 100000000)"),
 ], ids=["verify-window-40", "dump-shuffle-40-40", "verify-window-40000",
-        "dump-shuffle-20000-20000", "dump-refinement-k-1000000", "dump-defect-k-20000"])
+        "dump-shuffle-20000-20000", "dump-refinement-k-1000000", "dump-defect-k-20000",
+        "dump-boundary-left-100000000", "dump-boundary-right-20000",
+        "dump-diagonal-faces-100000000"])
 def test_oversized_window_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)

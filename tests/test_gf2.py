@@ -1,9 +1,9 @@
 """Bit-packed GF(2) linear algebra."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
+from simpdelta.gf2 import F2Matrix, bits, coordinates, mod2, reduced_echelon
 
 
 def test_small_matrix():
@@ -70,6 +70,18 @@ def test_coordinates():
     for k in bits(coords):
         v ^= basis[k]
     assert v == 0b101
+
+
+@given(st.lists(st.integers(0, 7), max_size=30)
+       | st.lists(st.integers(), unique=True, max_size=30))
+@example([])
+@example([3, 3])
+@example([1, 2, 1, 1, 2, 5])
+@example(list(range(20)))
+def test_mod2_keeps_the_items_of_odd_count(items):
+    parity = frozenset(x for x in items if items.count(x) % 2)
+    assert mod2(items) == parity
+    assert type(mod2(items)) is frozenset
 
 
 vectors_st = st.lists(st.integers(0, 2**10 - 1), min_size=0, max_size=12)

@@ -105,6 +105,18 @@ def test_delta_equals_em_route():
         assert delta_i(am, z, 1) == delta_via_em(am, z, 1)
 
 
+@pytest.mark.parametrize("q", [6, 7])
+def test_the_two_routes_agree_on_a_large_top_operation(q):
+    # the models of delta --q q --i q, which the size guard refuses: the
+    # operations act label by label and build no basis
+    am = algebra_model(q, 2 * q + 1, 2)
+    z = am.fundamental_class()
+    value = delta_i(am, z, q)
+    assert value and is_cycle(am, value)
+    assert value == delta_via_em(am, z, q)
+    assert am._basis == {}
+
+
 def test_top_operation_is_the_square_defect():
     # mu D(z (x) z) with both blocks anchored collapses to zero here
     am = algebra_model(2, 5, 2)
