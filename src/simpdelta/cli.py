@@ -241,6 +241,14 @@ def _cmd_delta(args) -> int:
     report["model"] = {"n": q, "max_degree": max_degree, "poly_bound": args.poly}
     if "warning" in report:
         print(f"warning: {report['warning']}", file=sys.stderr)
+    if args.perturbations and not report.get("perturbations_checked"):
+        if report["homology_class_nonzero"] is None:
+            why = "the value is not a cycle"
+        elif args.poly < 4:
+            why = "perturbations need --poly >= 4"
+        else:
+            why = "no normalized boundary fits half the polynomial bound"
+        print(f"note: no perturbation was checked: {why}", file=sys.stderr)
 
     if args.format == "csv":
         rows = [[k, json.dumps(report[k], sort_keys=True)] for k in sorted(report)]

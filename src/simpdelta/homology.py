@@ -10,13 +10,15 @@ is d_0 (May, *Simplicial Objects in Algebraic Topology*, §22), so the
 normalized differential is d_0 alone, read from the face table.  They
 compute the same homology, which the tests and the CLI verify
 degreewise.  Both read the faces from the model's face table over basis
-indices (``Model.face_rows``), not from labels.  All linear algebra is
-exact bit-packed elimination from `gf2`.
+indices (``Model.faces``, one list per face), not from labels.  All
+linear algebra is exact bit-packed elimination from `gf2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import lshift, xor
 
 from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
 from .models import F2Element, Model
@@ -112,20 +114,20 @@ def associated_complex(model: Model) -> ChainComplexF2:
 def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[int]:
     """Faces d_first_face .. d_q of each degree-q label, one bitmask per label.
 
-    Read off ``model.face_rows(q)``.  Face d_r is placed over the
-    degree-(q-1) basis shifted by ``(r - first_face) * stride`` bits:
-    stride 0 sums the faces mod 2 (the associated differential), stride
-    dim(q-1) stacks them (the columns of a face-kernel matrix).
+    Read off ``model.faces(q)``, one face list at a time.  Face d_r is
+    placed over the degree-(q-1) basis shifted by ``(r - first_face) *
+    stride`` bits: stride 0 sums the faces mod 2 (the associated
+    differential), stride dim(q-1) stacks them (the columns of a
+    face-kernel matrix).  ``bit`` ends in 0, so a zero face (-1) sets no
+    bit, and the columns are one lazy chain of XORs, built once at the end.
     """
-    shifts = [(r - first_face) * stride for r in range(first_face, q + 1)]
-    cols = []
-    for row in model.face_rows(q):
-        v = 0
-        for c, shift in zip(row[first_face:], shifts):
-            if c >= 0:
-                v ^= 1 << (c + shift)
-        cols.append(v)
-    return cols
+    faces = model.faces(q)[first_face:]
+    bit = [1 << c for c in range(model.dimension(q - 1))] + [0]
+    cols = repeat(0, len(faces[0]))
+    for k, f in enumerate(faces):
+        cols = map(xor, cols, map(lshift, map(bit.__getitem__, f),
+                                  repeat(k * stride)))
+    return list(cols)
 
 
 def normalized_complex(model: Model) -> ChainComplexF2:
@@ -133,14 +135,14 @@ def normalized_complex(model: Model) -> ChainComplexF2:
 
     Basis vectors are canonical reduced-echelon bitmasks over the model
     basis.  Every face but d_0 vanishes on them, so the differential is
-    d_0 alone, read from ``model.face_rows(q)`` and expressed in the
+    d_0 alone, read from ``model.faces(q)[0]`` and expressed in the
     degree-(q-1) basis.
     """
     top = model.max_degree
     nbases = [_face_kernel(model, q, 1) for q in range(top + 1)]
     diff = [[0] * len(nbases[0])]
     for q in range(1, top + 1):
-        d0 = [row[0] for row in model.face_rows(q)]
+        d0 = model.faces(q)[0]
         cols = []
         for vec in nbases[q]:
             image = 0

@@ -27,15 +27,16 @@ use, so a label's image under a word is computed once per model, and a
 one-label input on a filled entry is answered by the entry itself.
 
 ``Model.__init__`` declares every per-model table in one place: the
-bases, the plans, the face rows, the shared elements, and the one
+bases, the plans, the face tables, the shared elements, and the one
 associated complex, which only ``homology.associated_complex`` fills.
 
-The chain complexes read the faces from ``Model.face_rows(q)``: per
-degree-q label, the basis indices of its faces d_0 .. d_q, built once per
-degree.  A module model builds that table from ``theta_label``.  The
-algebra builds it from the sphere's table, factor by factor on tuples of
-sphere indices: the sphere basis is lexicographic, so index order is label
-order and no label is gathered.  ``Model.dimension`` gives each basis size
+The chain complexes read the faces from ``Model.faces(q)``: one list per
+face d_r, holding per degree-q label the basis index of its image, built
+once per degree.  A module model builds each list from ``theta_label``.
+Faces are algebra maps, so the algebra builds its lists without gathering
+a label: the face of a monomial is the face of its prefix times the face
+of its last factor, read from the sphere's lists and from a table of
+degree-(q-1) products by one generator.  ``Model.dimension`` gives each basis size
 from a closed form, and ``Model.ln_dimension`` its log from the same form
 (``ln_binomial``), so a size can be checked before anything is built.
 
@@ -49,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat, takewhile
 from math import comb, exp, expm1, inf, lgamma, log, log1p
-from operator import itemgetter
+from operator import getitem, itemgetter, sub
 
 from .gf2 import mod2
 from .words import Word, face, letter_theta, walk
@@ -152,21 +153,22 @@ class Model:
         """ln ``dimension(degree)`` from the same closed form, -inf for 0."""
         raise NotImplementedError
 
-    def face_rows(self, q: int) -> tuple:
-        """Per label of ``basis(q)``, in basis order, its faces d_0 .. d_q.
+    def faces(self, q: int) -> tuple:
+        """The faces d_0 .. d_q on ``basis(q)``, one list per face.
 
-        Each face is an index into ``basis(q - 1)``, or -1 where the face
-        is zero.  Built once per degree and kept on the model.  In degree 0
-        every face is the zero map, as for ``apply_word``.
+        ``faces(q)[r][c]`` is the index in ``basis(q - 1)`` of d_r of the
+        label at index c, or -1 where the face is zero.  Built once per
+        degree and kept on the model.  In degree 0 every face is the zero
+        map, as for ``apply_word``.
         """
-        rows = self._faces.get(q)
-        if rows is None:
+        table = self._faces.get(q)
+        if table is None:
             if q <= 0:
-                rows = ((-1,),) * len(self.basis(q))
+                table = ([-1] * len(self.basis(q)),)
             else:
-                rows = self._face_table(q)
-            self._faces[q] = rows
-        return rows
+                table = self._face_table(q)
+            self._faces[q] = table
+        return table
 
     def _face_table(self, q: int) -> tuple:
         raise NotImplementedError
@@ -307,16 +309,13 @@ class ModuleModel(Model):
     def _face_table(self, q: int) -> tuple:
         """``theta_label`` through each face's compiled θ, looked up by label."""
         index = {lbl: c for c, lbl in enumerate(self.basis(q - 1))}
-        gathers = [self._compile(face(r), q)[1] for r in range(q + 1)]
+        labels = self.basis(q)
         rule = self.theta_label
-        rows = []
-        for lbl in self.basis(q):
-            row = []
-            for gather in gathers:
-                img = rule(gather, lbl)
-                row.append(-1 if img is None else index[img])
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(
+            [-1 if (img := rule(gather, lbl)) is None else index[img]
+             for lbl in labels]
+            for gather in (self._compile(face(r), q)[1] for r in range(q + 1))
+        )
 
     def label_str(self, label) -> str:
         return "-".join(str(v) for v in label)
@@ -475,23 +474,39 @@ class AlgebraModel(Model):
         return self.poly_bound if gens else 0
 
     def _face_table(self, q: int) -> tuple:
-        """The sphere's face table factor by factor, on index tuples.
+        """Faces are algebra maps: d_r of a monomial is d_r of its prefix
+        (all factors but the last) times d_r of its last factor.
 
-        A face of a monomial is its factors' faces re-sorted, zero when
-        one of them is (it then sorts first as -1), else looked up among
-        the degree-(q-1) index tuples.
+        ``mul[a][g]`` is the degree-(q-1) index of monomial a times sphere
+        generator g, for every a shorter than the bound.  Each row ends in
+        -1 and one last row is all -1, so a zero face of either factor
+        gives zero.  In lex order the extensions of one prefix come
+        together, last factor ascending from the prefix's own last, so each
+        length's prefix indices and last factors are runs, and each face's
+        list grows by one lookup per monomial into its own earlier entries.
         """
-        sphere = self.underlying.face_rows(q)
-        tables = [[row[r] for row in sphere] for r in range(q + 1)]
         lower = {m: c for c, m in enumerate(self.monomial_indices(q - 1))}
-        rows = []
-        for mono in self.monomial_indices(q):
-            row = []
-            for t in tables:
-                img = sorted([t[f] for f in mono])
-                row.append(-1 if img and img[0] < 0 else lower[tuple(img)])
-            rows.append(tuple(row))
-        return tuple(rows)
+        ngens = len(self.underlying.basis(q - 1))
+        bound = self.poly_bound
+        mul = [[lower[self.product(a, (g,))] for g in range(ngens)] + [-1]
+               for a in takewhile(lambda a: len(a) < bound, lower)]
+        mul.append([-1] * (ngens + 1))
+        row = mul.__getitem__
+        sphere = self.underlying.faces(q)
+        table = tuple([0] for _ in sphere)  # the unit's faces are the unit
+        s = len(self.underlying.basis(q))
+        # the monomials one factor shorter: their first index, their last factors
+        start, last = 0, [0]
+        for _ in range(self._top_length(range(s))):
+            counts = map(sub, repeat(s), last)
+            prefix = list(chain.from_iterable(
+                map(repeat, range(start, start + len(last)), counts)))
+            start += len(last)
+            last = list(chain.from_iterable(map(range, last, repeat(s))))
+            for f, t in zip(table, sphere):
+                f.extend(map(getitem, map(row, map(f.__getitem__, prefix)),
+                             map(t.__getitem__, last)))
+        return table
 
     def theta_label(self, gather, mono):
         """The sphere rule factor by factor, re-sorted; zero if a factor dies."""

@@ -124,7 +124,8 @@ def delta_report(
     Includes the formula's term list, the cycle verdict, the homology
     verdict (is the class nonzero in the associated complex), and the
     agreement with the refinement route.  Optionally perturbs the input
-    by seeded normalized boundaries and checks the class is unchanged.
+    by seeded normalized boundaries and checks the class is unchanged;
+    below a polynomial bound of 4 no boundary fits, and none is sought.
     """
     q = z.degree
     caught: list[warnings.WarningMessage]
@@ -156,10 +157,14 @@ def delta_report(
         if perturbations > 0:
             rng = random.Random(seed)
             # delta_i squares its input, so a perturbed cycle only fits the
-            # truncation if every monomial stays within half the bound
+            # truncation if every monomial stays within half the bound.
+            # Faces keep a monomial's length, so the normalized subspace
+            # splits by length, and its parts of length 0 and 1 (the
+            # sphere's Moore complex) are zero in degree q + 1: below P = 4,
+            # where half the bound is 1, no nonzero boundary can fit
             cap = model.poly_bound // 2
             usable = []
-            for y in normalized_subspace(model, q + 1):
+            for y in (normalized_subspace(model, q + 1) if cap >= 2 else ()):
                 # boundary() of a normalized element is just its d_0 image
                 b = model.boundary(y)
                 if b and all(len(label) <= cap for label in b.support):

@@ -11,8 +11,9 @@ not in the algebra's basis, so the same membership test kills it.
 from simpdelta.words import DEGENERACY
 
 
-def letter_label(model, generator, label, degree):
-    """Image of a degree-``degree`` basis label under one letter, or None."""
+def letter_image(model, generator, label):
+    """A basis label's vertices (factorwise, re-sorted) under one letter,
+    before the membership test: a basis label or not."""
     kind, r = generator
 
     def act(vertices):
@@ -21,8 +22,12 @@ def letter_label(model, generator, label, degree):
         return vertices[:r] + vertices[r + 1 :]
 
     if hasattr(model, "underlying"):
-        img = tuple(sorted(act(f) for f in label))
-    else:
-        img = act(label)
-    target = degree + 1 if kind == DEGENERACY else degree - 1
+        return tuple(sorted(act(f) for f in label))
+    return act(label)
+
+
+def letter_label(model, generator, label, degree):
+    """Image of a degree-``degree`` basis label under one letter, or None."""
+    img = letter_image(model, generator, label)
+    target = degree + 1 if generator[0] == DEGENERACY else degree - 1
     return img if img in model.basis(target) else None

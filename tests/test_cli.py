@@ -127,6 +127,23 @@ def test_no_stability_verdict_without_a_perturbation(capsys):
     assert report["class_stable_under_boundary_perturbations"] is None
 
 
+def test_a_note_says_that_no_perturbation_was_checked(capsys):
+    code, out, err = run(capsys, "delta", "--q", "2", "--i", "2")
+    assert code == 0 and json.loads(out)["perturbations_checked"] == 0
+    assert err == ("note: no perturbation was checked: "
+                   "perturbations need --poly >= 4\n")
+    # none when perturbations were checked (the benchmark's delta run) ...
+    code, out, err = run(capsys, "delta", "--q", "3", "--i", "2", "--poly", "4",
+                         "--perturbations", "4", "--seed", "0")
+    assert code == 0 and json.loads(out)["perturbations_checked"] == 4
+    assert err == ""
+    # ... or none was asked for
+    code, out, err = run(capsys, "delta", "--q", "2", "--i", "2",
+                         "--perturbations", "0")
+    assert code == 0 and "perturbations_checked" not in json.loads(out)
+    assert err == ""
+
+
 def test_delta_text_format(capsys):
     code, out, _ = run(capsys, "delta", "--q", "2", "--i", "2",
                        "--format", "text")

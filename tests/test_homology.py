@@ -7,7 +7,7 @@ on top, and the normalized complex must agree with the associated one.
 
 import pytest
 from diagnostics import d_squared_is_zero
-from label_oracle import letter_label
+from label_oracle import letter_image, letter_label
 
 from simpdelta import homology
 from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
@@ -273,18 +273,26 @@ def _oracle_element_vector(model, x):
     MODELS + [
         algebra_model(2, 4, 4),
         algebra_model(2, 4, 3, quotient=True),
+        algebra_model(0, 4, 3),
+        algebra_model(1, 6, 5),
+        algebra_model(3, 6, 4),
+        algebra_model(2, 6, 3),
+        # its top degree q = n has generators, and degree q - 1 has none
+        algebra_model(4, 4, 3),
     ],
     ids=lambda m: m.name,
 )
 def test_face_rows_match_label_oracle(model):
+    """``faces(q)[r]`` is face d_r's row: per degree-q label, the index of
+    the oracle's image in the degree-(q-1) basis, -1 where it is none."""
     for q in range(model.max_degree + 1):
-        lower = model.basis(q - 1)
-        want = []
-        for lbl in model.basis(q):
-            images = [letter_label(model, (FACE, r), lbl, q) for r in range(q + 1)]
-            want.append(tuple(-1 if img is None else lower.index(img)
-                              for img in images))
-        assert model.face_rows(q) == tuple(want), q
+        index = {lbl: c for c, lbl in enumerate(model.basis(q - 1))}
+        want = tuple(
+            [index.get(letter_image(model, (FACE, r), lbl), -1)
+             for lbl in model.basis(q)]
+            for r in range(q + 1)
+        )
+        assert model.faces(q) == want, q
 
 
 @pytest.mark.parametrize(

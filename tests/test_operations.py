@@ -7,7 +7,8 @@ import pytest
 from diagnostics import shuffle_pairs, shuffle_square
 from hypothesis import given, strategies as st
 
-from simpdelta.homology import is_cycle, same_class
+from simpdelta import operations
+from simpdelta.homology import is_cycle, normalized_subspace, same_class
 from simpdelta.models import algebra_model
 from simpdelta.operations import (
     BadRangeError,
@@ -166,6 +167,39 @@ def test_delta_report_contents():
     ]
     assert rep["class_stable_under_boundary_perturbations"] is True
     assert rep["perturbations_checked"] == 3
+
+
+def test_no_normalized_boundary_fits_below_poly_4():
+    """At P = 2 and 3 half the bound is one factor, and no nonzero
+    normalized boundary fits it, whatever q and i: faces keep a
+    monomial's length, and the normalized parts of length 0 and 1 vanish
+    in degree q + 1.  So delta_report seeks none below P = 4."""
+    nonzero = 0
+    for poly in (2, 3):
+        for q in range(1, 5):
+            for i in range(1, q + 1):
+                model = algebra_model(q, q + i + 1, poly)
+                bounds = [model.boundary(y)
+                          for y in normalized_subspace(model, q + 1)]
+                bounds = [b for b in bounds if b]
+                nonzero += len(bounds)
+                fits = [b for b in bounds
+                        if all(len(m) <= poly // 2 for m in b.support)]
+                assert fits == [], (poly, q, i)
+    assert nonzero > 0  # the boundaries exist; they are only too long
+
+
+def test_delta_report_seeks_no_perturbation_below_poly_4(monkeypatch):
+    def no_subspace(*args):
+        raise AssertionError("normalized_subspace was built below P = 4")
+
+    monkeypatch.setattr(operations, "normalized_subspace", no_subspace)
+    for poly in (2, 3):
+        am = algebra_model(2, 5, poly)
+        rep = delta_report(am, am.fundamental_class(), 2, perturbations=2)
+        assert rep["homology_class_nonzero"] is True
+        assert rep["perturbations_checked"] == 0
+        assert rep["class_stable_under_boundary_perturbations"] is None
 
 
 def test_delta_report_for_the_noncycle_case():
