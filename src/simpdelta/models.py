@@ -36,9 +36,10 @@ once per degree.  A module model builds each list from ``theta_label``.
 Faces are algebra maps, so the algebra builds its lists without gathering
 a label: the face of a monomial is the face of its prefix times the face
 of its last factor, read from the sphere's lists and from a table of
-degree-(q-1) products by one generator.  ``Model.dimension`` gives each basis size
-from a closed form, and ``Model.ln_dimension`` its log from the same form
-(``ln_binomial``), so a size can be checked before anything is built.
+degree-(q-1) products by one generator.  ``Model.dimension`` gives each
+basis size from a closed form, and ``Model.ln_dimension`` its log from the
+same form (``ln_binomial``), so a size can be checked before anything is
+built.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError
@@ -309,12 +310,13 @@ class ModuleModel(Model):
     def _face_table(self, q: int) -> tuple:
         """``theta_label`` through each face's compiled θ, looked up by label."""
         index = {lbl: c for c, lbl in enumerate(self.basis(q - 1))}
+        gathers = [self._compile(face(r), q)[1] for r in range(q + 1)]
         labels = self.basis(q)
         rule = self.theta_label
         return tuple(
             [-1 if (img := rule(gather, lbl)) is None else index[img]
              for lbl in labels]
-            for gather in (self._compile(face(r), q)[1] for r in range(q + 1))
+            for gather in gathers
         )
 
     def label_str(self, label) -> str:
@@ -495,7 +497,8 @@ class AlgebraModel(Model):
         sphere = self.underlying.faces(q)
         table = tuple([0] for _ in sphere)  # the unit's faces are the unit
         s = len(self.underlying.basis(q))
-        # the monomials one factor shorter: their first index, their last factors
+        # the monomials one factor shorter: their first index and their last
+        # factors; at first the unit, whose extensions start at generator 0
         start, last = 0, [0]
         for _ in range(self._top_length(range(s))):
             counts = map(sub, repeat(s), last)
