@@ -120,13 +120,16 @@ def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[in
     differential), stride dim(q-1) stacks them (the columns of a
     face-kernel matrix).  ``bit`` ends in 0, so a zero face (-1) sets no
     bit, and the columns are one lazy chain of XORs, built once at the end.
+    A block at shift 0 is not shifted: ``x << 0`` copies a wide int.
     """
     faces = model.faces(q)[first_face:]
     bit = [1 << c for c in range(model.dimension(q - 1))] + [0]
     cols = repeat(0, len(faces[0]))
     for k, f in enumerate(faces):
-        cols = map(xor, cols, map(lshift, map(bit.__getitem__, f),
-                                  repeat(k * stride)))
+        block = map(bit.__getitem__, f)
+        if k * stride:
+            block = map(lshift, block, repeat(k * stride))
+        cols = map(xor, cols, block)
     return list(cols)
 
 

@@ -159,9 +159,10 @@ def delta_report(
             # delta_i squares its input, so a perturbed cycle only fits the
             # truncation if every monomial stays within half the bound.
             # Faces keep a monomial's length, so the normalized subspace
-            # splits by length, and its parts of length 0 and 1 (the
-            # sphere's Moore complex) are zero in degree q + 1: below P = 4,
-            # where half the bound is 1, no nonzero boundary can fit
+            # splits by length.  In degree q + 1 its length-0 part (the
+            # unit) and its length-1 part (the sphere's Moore complex) are
+            # zero, so below P = 4, where half the bound is 1, no nonzero
+            # boundary can fit
             cap = model.poly_bound // 2
             usable = []
             for y in (normalized_subspace(model, q + 1) if cap >= 2 else ()):
