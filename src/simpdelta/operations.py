@@ -4,7 +4,9 @@ The operation delta_i sends a degree-q cycle to a degree-(q+i) cycle by a
 closed sum of degeneracy-word products; `delta_via_em` computes the same
 element through the degree-lowering refinements of the shuffle map and a
 final multiplication.  The two routes are implemented independently and
-the tests hold them against each other chain-for-chain.
+the tests hold them against each other chain-for-chain.  Both take a
+normalized cycle (every face vanishes) and raise `NotNormalizedCycleError`
+on any other input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import warnings
 from .homology import is_cycle, nonzero_face, normalized_subspace, same_class
 from .models import AlgebraModel, F2Element, evaluate_em, tensor
 from .transforms import higher_shuffle, shuffles
-from .words import degeneracy_word
+from .words import degeneracy_word, face
 
 
 class BadRangeError(Exception):
@@ -45,6 +47,7 @@ def anchored_shuffle_pairs(q: int, i: int) -> list[tuple]:
 
 
 def _require_cycle(model: AlgebraModel, z: F2Element):
+    """The one input contract of both routes: every face of z vanishes."""
     r = nonzero_face(model, z)
     if r is not None:
         raise NotNormalizedCycleError(
@@ -79,37 +82,20 @@ def delta_i(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
     return model.element(labels, q + i)
 
 
-def _multiply_pairs(model: AlgebraModel, pairs_element) -> F2Element:
-    prods = [model.product(a, b) for a, b in pairs_element.pairs]
-    return model.element([p for p in prods if p is not None],
-                         pairs_element.left_degree)
-
-
 def delta_via_em(model: AlgebraModel, z: F2Element, i: int) -> F2Element:
     """The i-th operation through the shuffle-map refinements.
 
     Evaluates the (q-i)-th refinement on z (x) z and multiplies the two
-    output factors; a non-cycle z needs the correction term against its
-    boundary, evaluated one refinement lower.
+    output factors.  Like `delta_i` it takes a normalized cycle and
+    raises `NotNormalizedCycleError` on any other input.
     """
     q = z.degree
     if not 1 <= i <= q:
         raise BadRangeError(f"need 1 <= i <= degree(z)={q}, got i={i}")
-    out = _multiply_pairs(
-        model, evaluate_em(higher_shuffle(q - i), tensor(z, z), model, model)
-    )
-    dz = model.boundary(z)
-    if dz:
-        if q - i - 1 < 0:
-            raise BadRangeError(
-                "the correction term needs a refinement of negative order; "
-                "with i == degree(z) the input must be a cycle"
-            )
-        out += _multiply_pairs(
-            model,
-            evaluate_em(higher_shuffle(q - i - 1), tensor(z, dz), model, model),
-        )
-    return out
+    _require_cycle(model, z)
+    em = evaluate_em(higher_shuffle(q - i), tensor(z, z), model, model)
+    prods = [model.product(a, b) for a, b in em.pairs]
+    return model.element([p for p in prods if p is not None], em.left_degree)
 
 
 def delta_report(
@@ -119,20 +105,21 @@ def delta_report(
     perturbations: int = 0,
     seed: int = 0,
 ) -> dict:
-    """JSON-ready record of one delta_i computation.
+    """JSON-ready record of one delta_i computation on a normalized cycle z.
 
     Includes the formula's term list, the cycle verdict, the homology
     verdict (is the class nonzero in the associated complex), and the
-    agreement with the refinement route.  Optionally perturbs the input
-    by seeded normalized boundaries and checks the class is unchanged;
-    below a polynomial bound of 4 no boundary fits, and none is sought.
+    agreement with the refinement route.  The homology verdict is null
+    exactly when the value is not a normalized cycle, which happens for
+    i = 1 only.  Optionally perturbs the input by seeded normalized
+    boundaries and checks the class is unchanged; below a polynomial
+    bound of 4 no boundary fits, and none is sought.
     """
     q = z.degree
     caught: list[warnings.WarningMessage]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = delta_i(model, z, i)
-    other = delta_via_em(model, z, i)
     report: dict = {
         "q": q,
         "i": i,
@@ -143,51 +130,41 @@ def delta_report(
         ],
         "value": sorted(model.label_str(lbl) for lbl in value.support),
         "is_cycle": is_cycle(model, value),
-        "equals_theta": value == other,
+        "equals_theta": value == delta_via_em(model, z, i),
     }
     if caught:
         report["warning"] = str(caught[0].message)
-    if model.boundary(value):
+    if not report["is_cycle"]:
         # no class to speak of (the i = 1 output has a surviving face)
         report["homology_class_nonzero"] = None
-    else:
-        report["homology_class_nonzero"] = not same_class(
-            model, value, model.zero(q + i)
-        )
-        if perturbations > 0:
-            rng = random.Random(seed)
-            # delta_i squares its input, so a perturbed cycle only fits the
-            # truncation if every monomial stays within half the bound.
-            # Faces keep a monomial's length, so the normalized subspace
-            # splits by length.  In degree q + 1 its length-0 part (the
-            # unit) and its length-1 part (the sphere's Moore complex) are
-            # zero, so below P = 4, where half the bound is 1, no nonzero
-            # boundary can fit
-            cap = model.poly_bound // 2
-            usable = []
-            for y in (normalized_subspace(model, q + 1) if cap >= 2 else ()):
-                # boundary() of a normalized element is just its d_0 image
-                b = model.boundary(y)
+        return report
+    report["homology_class_nonzero"] = not same_class(model, value, model.zero(q + i))
+    if perturbations > 0:
+        rng = random.Random(seed)
+        # delta_i squares its input, so a perturbed cycle fits the truncation
+        # only if its monomials stay within half the bound.  Faces keep a
+        # monomial's length, and in degree q + 1 the normalized subspace has
+        # no part of length 0 (the unit) or 1 (the sphere's Moore complex),
+        # so below P = 4, where half the bound is 1, no boundary can fit
+        cap = model.poly_bound // 2
+        usable = []
+        if cap >= 2 and all(len(label) <= cap for label in z.support):
+            for y in normalized_subspace(model, q + 1):
+                # d_1 .. d_{q+1} vanish on y, so its boundary is d_0 y
+                b = model.apply_word(face(0), y)
                 if b and all(len(label) <= cap for label in b.support):
                     usable.append(b)
-            stable = True
-            done = 0
-            for _ in range(perturbations):
-                if not usable:
-                    break
-                picks = rng.randrange(1, 1 << len(usable))
-                b = model.element([lbl for c, vec in enumerate(usable)
-                                   if picks >> c & 1 for lbl in vec.support], q)
-                if not b or any(len(label) > cap for label in z.support | b.support):
-                    continue
-                perturbed = z + b
-                ok = is_cycle(model, perturbed) and same_class(
-                    model, value, delta_i(model, perturbed, i)
-                )
-                stable = stable and ok
-                done += 1
-            # with nothing checked there is no verdict, as with no class
-            report["class_stable_under_boundary_perturbations"] = (
-                stable if done else None)
-            report["perturbations_checked"] = done
+        verdicts = []
+        for _ in range(perturbations):
+            if not usable:
+                break
+            picks = rng.randrange(1, 1 << len(usable))
+            b = model.element([lbl for c, vec in enumerate(usable)
+                               if picks >> c & 1 for lbl in vec.support], q)
+            if b:  # z + b is a normalized cycle, which delta_i checks
+                verdicts.append(same_class(model, value, delta_i(model, z + b, i)))
+        # with nothing checked there is no verdict, as with no class
+        report["class_stable_under_boundary_perturbations"] = (
+            all(verdicts) if verdicts else None)
+        report["perturbations_checked"] = len(verdicts)
     return report

@@ -19,6 +19,7 @@ from simpdelta.models import (
     ln_binomial,
     sphere_model,
 )
+from simpdelta.relations import RelationResult, relation_names
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -110,6 +111,14 @@ def test_delta_golden(capsys):
     assert out == (GOLDEN / "delta_q2_i2.json").read_text()
 
 
+def test_delta_csv_golden(capsys):
+    # every report field, four checked perturbations among them
+    code, out, err = run(capsys, "delta", "--q", "3", "--i", "2", "--poly", "4",
+                         "--perturbations", "4", "--seed", "0", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "delta_verdict.csv").read_bytes()
+
+
 def test_delta_noncycle_warning(capsys):
     code, out, err = run(capsys, "delta", "--q", "3", "--i", "1")
     assert code == 0
@@ -167,6 +176,47 @@ def test_homology_golden(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "complex,degree,dim,rank_d,betti,agree"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_homology_text_golden(capsys):
+    code, out, err = run(capsys, "homology", "--model", "sphere-algebra", "--n",
+                         "2", "--max-degree", "5", "--format", "text")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "sphere_algebra2_homology_5.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "simp", "--max-total", "-1"), "--max-total must be >= 0"),
+    (("verify", "simp", "--max-k", "-1"), "--max-k must be >= 0"),
+    (("delta", "--q", "0", "--i", "1"), "--q must be >= 1"),
+    (("delta", "--q", "2", "--i", "2", "--perturbations", "-1"),
+     "--perturbations must be >= 0"),
+    (("homology", "--n", "-1", "--max-degree", "3"), "--n must be >= 0"),
+    (("dump-transform", "--name", "shuffle", "--i", "-1", "--j", "0"),
+     "--i and --j must be >= 0"),
+], ids=["verify-max-total", "verify-max-k", "delta-q", "delta-perturbations",
+        "homology-n", "dump-transform-i"])
+def test_negative_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_failing_relation_is_reported(capsys, monkeypatch):
+    failing = relation_names(family="simp")[0]
+
+    def check(name, max_total):
+        passed = name != failing
+        return RelationResult(name, "", 1, passed, None if passed else "a witness")
+
+    monkeypatch.setattr(cli, "check_relation", check)
+    code, out, err = run(capsys, "verify", "simp", "--max-total", "4")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert f"FAIL {failing}: a witness" in lines
+    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert lines[-1] == "6/7 relations passed on window max_total=4"
 
 
 def test_homology_poly_is_only_for_the_algebra(capsys):

@@ -139,6 +139,21 @@ def test_same_class():
     assert not same_class(sm, top, sm.zero(2))
 
 
+def test_same_class_argument_errors():
+    dm = delta_model(1, 3)
+    vertex = dm.element([(0,)], 0)
+    edge = dm.element([(0, 1)], 1)
+    with pytest.raises(NotACycleError, match="different degrees"):
+        same_class(dm, vertex, edge)
+    complex_ = associated_complex(dm)
+    with pytest.raises(NotACycleError, match="second argument"):
+        complex_.same_class(1, 0, element_vector(dm, edge))
+    # the boundaries into the top degree lie outside the window
+    assert complex_.top == 3
+    with pytest.raises(ValueError, match="need degree 4 inside the window"):
+        complex_.same_class(3, 0, 0)
+
+
 def test_element_vector_roundtrip():
     dm = delta_model(1, 3)
     cc = associated_complex(dm)

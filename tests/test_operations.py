@@ -8,8 +8,13 @@ from diagnostics import shuffle_pairs, shuffle_square
 from hypothesis import given, strategies as st
 
 from simpdelta import operations
-from simpdelta.homology import is_cycle, normalized_subspace, same_class
-from simpdelta.models import algebra_model
+from simpdelta.homology import (
+    cycle_subspace,
+    is_cycle,
+    normalized_subspace,
+    same_class,
+)
+from simpdelta.models import Model, algebra_model
 from simpdelta.operations import (
     BadRangeError,
     NotACycleWarning,
@@ -20,7 +25,7 @@ from simpdelta.operations import (
     delta_report,
     delta_via_em,
 )
-from simpdelta.words import degeneracy, face
+from simpdelta.words import FACE, degeneracy, face
 
 
 def test_pair_enumeration_counts_and_window():
@@ -133,9 +138,14 @@ def test_delta_range_and_cycle_errors():
     for bad_i in (0, 3):
         with pytest.raises(BadRangeError):
             delta_i(am, z, bad_i)
+        with pytest.raises(BadRangeError):
+            delta_via_em(am, z, bad_i)
+    # both routes take the same inputs: s_0 z has the nonzero face d_0 s_0 z = z
     s0z = am.apply_word(degeneracy(0), z)
     with pytest.raises(NotNormalizedCycleError, match="face d0"):
         delta_i(am, s0z, 2)
+    with pytest.raises(NotNormalizedCycleError, match="face d0"):
+        delta_via_em(am, s0z, 2)
 
 
 def test_representative_independence():
@@ -208,3 +218,50 @@ def test_delta_report_for_the_noncycle_case():
     assert rep["is_cycle"] is False
     assert rep["homology_class_nonzero"] is None
     assert "warning" in rep
+
+
+def test_class_verdict_is_null_exactly_when_the_face_sum_survives(monkeypatch):
+    """The report's guard, the normalized cycle test of the value, agrees
+    with the test it replaced, a nonzero face sum of the value.  Only the
+    guard is under test, so the class itself is not computed."""
+    monkeypatch.setattr(operations, "same_class", lambda *args: False)
+    nulls = {True: 0, False: 0}
+    for poly in (2, 3, 4):
+        for quotient in (False, True):
+            for q in range(1, 5):
+                for i in range(1, q + 1):
+                    am = algebra_model(q, q + i + 1, poly, quotient)
+                    # a window model must be able to square every monomial
+                    spanning = [c for c in cycle_subspace(am, q) if quotient
+                                or all(2 * len(m) <= poly for m in c.support)]
+                    for z in [am.fundamental_class()] + spanning[1:3]:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", NotACycleWarning)
+                            rep = delta_report(am, z, i)
+                            survives = bool(am.boundary(delta_i(am, z, i)))
+                        null = rep["homology_class_nonzero"] is None
+                        assert null == survives, (poly, quotient, q, i, z)
+                        nulls[null] += 1
+    assert nulls[True] > 0 and nulls[False] > 0
+    assert sum(nulls.values()) == 120
+
+
+def test_the_report_asks_each_face_once(monkeypatch):
+    """On the benchmark's delta run the report applies at most 83 face
+    words, against 317 when it also summed the faces of every value it
+    had already tested: the input's faces once per route and once per
+    perturbed input, the value's faces once, and one d_0 per normalized
+    boundary."""
+    count = 0
+    apply_word = Model.apply_word
+
+    def counting(self, w, x):
+        nonlocal count
+        count += len(w.factors) == 1 and w.factors[0][0] == FACE
+        return apply_word(self, w, x)
+
+    monkeypatch.setattr(Model, "apply_word", counting)
+    am = algebra_model(3, 6, 4)
+    rep = delta_report(am, am.fundamental_class(), 2, perturbations=4, seed=0)
+    assert rep["perturbations_checked"] == 4
+    assert count <= 83
