@@ -111,10 +111,10 @@ def _check_size(model):
 # `verify` and a `dump-transform` of the shuffle map, a refinement or a
 # defect will build toward, and the most faces a face sum's dump takes.  It
 # admits window 16 (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18
-# (48,620) and beyond; window 14 already takes tens of seconds and some
-# hundred MB.  The refinements D^k have at least the shuffle map's terms, so
-# the estimate is a lower bound for them; their k + 1 levels D^0 .. D^k are
-# counted against the same budget.
+# (48,620) and beyond; on a 2-core host window 14 takes about 10 s and
+# 280 MB, window 16 about 50 s and 1.2 GB.  The refinements D^k have at
+# least the shuffle map's terms, so the estimate is a lower bound for them;
+# their k + 1 levels D^0 .. D^k are counted against the same budget.
 TERM_BUDGET = 20_000
 
 

@@ -212,7 +212,10 @@ def _chain_map_numeric(max_total: int) -> tuple[int, str | None]:
     naturality decides the general statement; then an exhaustive sweep
     over all basis tensors in small dimensions as a direct corroboration.
     """
-    t = _chain_map_transform()
+    # evaluate_em reads the sum's terms once per basis tensor, and a sum
+    # forms them on each read: wrap it in a transform that keeps them.
+    chain_map = _chain_map_transform()
+    t = EMTransform(chain_map.index_fn, chain_map.terms)
     max_n = min(max_total // 2, 4)
     cases = 0
     for i in range(max_n + 1):

@@ -6,6 +6,13 @@ together with an affine index function saying where V_i (x) W_j is sent.
 The families are infinite, so terms are materialized lazily per bidegree
 and every check is performed over an explicit window.
 
+A sum is one flat node over the summands of both operands, so a sum of
+sums holds one tuple and no nesting.  It keeps no terms: its raw terms at
+a bidegree are the symmetric difference of its summands' terms, formed on
+each read.  Every other transform (constructors, composites, suspensions
+and twists) keeps its raw terms per bidegree once built, because they
+are built from words.  Every transform keeps its reduced value.
+
 Equality of two families at a bidegree is decided syntactically: each
 term is normalized at its source degrees, terms whose target degree has a
 negative component are dropped (they denote the zero map), and the
@@ -18,8 +25,9 @@ transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import xor
 
 from .gf2 import mod2
 from .words import (
@@ -89,13 +97,20 @@ class EMTransform:
     (the built-in constructors and combinators preserve this; `word_pair`
     leaves it to the caller).
 
-    Per bidegree the transform keeps its raw terms and their reduced
-    value, each built on first use.
+    A transform built from a rule keeps its raw terms per bidegree, built
+    on first use.  A sum (``summands`` given, ``rule`` None) is flat and
+    keeps none: its raw terms are the symmetric difference of its
+    summands' terms, formed again on each read, so a reader that reads
+    one bidegree many times should wrap it in a transform that keeps
+    them.  Every transform keeps its reduced value per bidegree.
     """
 
-    def __init__(self, index_fn: IndexFunction, rule):
+    def __init__(self, index_fn: IndexFunction, rule, summands: tuple = ()):
         self.index_fn = index_fn
         self._rule = rule
+        # A transform never lists itself here: the CLI runs with the
+        # collector off, and that cycle would keep it alive.
+        self._summands: tuple[EMTransform, ...] = summands
         self._terms: dict[tuple[int, int], frozenset[TensorWord]] = {}
         self._reduced: dict[tuple[int, int], frozenset] = {}
 
@@ -106,6 +121,8 @@ class EMTransform:
         """Raw terms at a bidegree, before any normalization."""
         if i < 0 or j < 0:
             return frozenset()
+        if self._summands:
+            return reduce(xor, [t.terms(i, j) for t in self._summands])
         key = (i, j)
         if key not in self._terms:
             self._terms[key] = frozenset(self._rule(i, j))
@@ -132,9 +149,8 @@ class EMTransform:
                 f"cannot add transforms with index functions "
                 f"{self.index_fn.rows} and {other.index_fn.rows}"
             )
-        return EMTransform(
-            self.index_fn, lambda i, j: self.terms(i, j) ^ other.terms(i, j)
-        )
+        return EMTransform(self.index_fn, None,
+                           (self._summands or (self,)) + (other._summands or (other,)))
 
     def __mul__(self, other: "EMTransform") -> "EMTransform":
         """Composition: self applied after other."""

@@ -269,6 +269,18 @@ def test_dump_transform(capsys):
     assert json.loads(out)["target"] == [3, 3]
 
 
+@pytest.mark.parametrize("name, k, i, j, golden", [
+    ("defect", "3", "4", "3", "dump_defect_k3_i4_j3.json"),
+    ("refinement", "4", "4", "4", "dump_refinement_k4_i4_j4.json"),
+])
+def test_dump_transform_raw_terms_golden(capsys, name, k, i, j, golden):
+    # raw terms of transforms built by sums, before any cancellation
+    code, out, err = run(capsys, "dump-transform", "--name", name,
+                         "--k", k, "--i", i, "--j", j)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("name", ["refinement", "defect"])
 def test_dump_transform_at_a_large_k(capsys, name):
     # D^3000 is built level by level, not by 3000 nested calls

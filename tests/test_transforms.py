@@ -5,17 +5,22 @@ monotone interleavings (the Pascal recursion), not against the
 combinations call used inside the module.
 """
 
+import gc
 import math
+import weakref
 
 import pytest
 
+from simpdelta import relations
 from simpdelta.transforms import (
     EMTransform,
     IndexFunction,
     IndexMismatchError,
     boundary_left,
+    boundary_right,
     degen0_left,
     degen0_right,
+    diagonal_faces,
     diagonal_identity,
     dump_bidegree,
     dwyer_defect,
@@ -28,6 +33,7 @@ from simpdelta.transforms import (
     zero_transform,
 )
 from simpdelta.words import Word, face, parse_word
+from sum_oracle import nested_sums
 
 
 def interleavings(i, j):
@@ -201,3 +207,77 @@ def test_dump_bidegree_schema():
         "target": [1, 1],
         "terms": [["id", "s0 d0"]],
     }
+
+
+# Transforms built by sums, each a function giving the transforms to
+# compare: the defects and refinements, the chain map, and both sides of
+# each part of the relations whose sides are sums.
+SUM_BUILT = {
+    **{f"A^{k}": (lambda k=k: [dwyer_defect.__wrapped__(k)]) for k in range(5)},
+    **{f"D^{k}": (lambda k=k: [higher_shuffle(k)]) for k in range(1, 5)},
+    "chain map": lambda: [relations._chain_map_transform()],
+    **{
+        name: (lambda name=name: [
+            side for _, lhs, rhs in relations._SYMBOLIC[name][1]() for side in (lhs, rhs)
+        ])
+        for name in ("simp1", "simp2", "simp3", "simp4")
+    },
+}
+SUM_WINDOW = 10
+
+
+@pytest.fixture(scope="module")
+def nested():
+    return nested_sums(SUM_BUILT)
+
+
+@pytest.mark.parametrize("name", list(SUM_BUILT))
+def test_flat_sums_equal_the_nested_binary_sums(nested, name):
+    flat, oracle = SUM_BUILT[name](), nested[name]
+    assert len(flat) == len(oracle)
+    assert any(t._summands for t in flat)
+    for f, o in zip(flat, oracle):
+        assert not o._summands
+        assert not any(t._summands for t in f._summands), "a summand is a sum"
+        for total in range(SUM_WINDOW + 1):
+            for i in range(total + 1):
+                assert f.terms(i, total - i) == o.terms(i, total - i), (i, total - i)
+
+
+def test_sums_are_flat_and_associative():
+    d = shuffle_map()
+    a, b, c = diagonal_faces() * d, d * boundary_left(), d * boundary_right()
+    left, right = (a + b) + c, a + (b + c)
+    assert left._summands == right._summands == (a, b, c)
+    for total in range(7):
+        for i in range(total + 1):
+            assert left.terms(i, total - i) == right.terms(i, total - i)
+
+
+def test_a_sum_keeps_no_terms():
+    total = dwyer_defect(2)
+    first = total.terms(3, 3)
+    assert first
+    assert total.terms(3, 3) == first
+    assert total._terms == {}
+    assert total.reduced(3, 3) == diagonal_identity(2).reduced(3, 3)
+    assert total._terms == {}
+
+
+def test_transforms_are_freed_without_the_collector():
+    # The command runs with the collector off, so a transform in a
+    # reference cycle would live, with its term tables, to the end of a run.
+    gc.disable()
+    try:
+        d = shuffle_map()
+        d0 = d.suspend() * degen0_right()
+        built = [d, d0, d0.suspend(), d0.twist(), d0 * face0_left(),
+                 d0.suspend() + d0 * face0_left(), (d0 + d0.twist()) + (d + d)]
+        for t in built:
+            t.terms(2, 2)
+            t.reduced(2, 2)
+        refs = [weakref.ref(t) for t in built]
+        del d, d0, built, t
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
