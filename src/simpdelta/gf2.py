@@ -10,7 +10,8 @@ with the pivot whose bit is its current highest set bit, until that bit
 has no pivot (the column becomes a new pivot) or the column is zero.
 Columns are taken in their given order and the highest set bit is the
 pivot, so the pivot bits, and every canonical object derived from them,
-are reproducible.  ``mod2`` is the one mod-2 sum of a sequence of terms.
+are reproducible.  Only ``kernel_basis`` records which input columns
+were combined.  ``mod2`` is the one mod-2 sum of a sequence of terms.
 """
 
 from __future__ import annotations
@@ -27,18 +28,21 @@ def mod2(items) -> frozenset:
     return frozenset(odd)
 
 
-def _reduce(v: int, combo: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    """Clear top bits of ``v`` against the pivot table, tracking the combination.
+def _reduce(v: int, pivots: dict[int, int]) -> int:
+    """Clear top bits of ``v`` against the pivot table: zero or an unowned top bit."""
+    while v and (pivot := pivots.get(v.bit_length() - 1)):
+        v ^= pivot
+    return v
 
-    Returns ``(v, combo)`` where ``v`` is zero or has a top bit no pivot owns.
-    """
-    while v:
-        pivot = pivots.get(v.bit_length() - 1)
-        if pivot is None:
-            break
-        v ^= pivot[0]
-        combo ^= pivot[1]
-    return v, combo
+
+def _pivots(vectors) -> dict[int, int]:
+    """The pivot table of ``vectors``: pivot bit -> reduced vector."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        v = _reduce(v, pivots)
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return pivots
 
 
 class F2Matrix:
@@ -46,7 +50,8 @@ class F2Matrix:
 
     ``columns[c]`` is the image of the c-th standard basis vector, packed
     into an int over the target coordinates; a bit at or above ``nrows``
-    is a layout error and raises ValueError.
+    is a layout error and raises ValueError.  Only `kernel_basis` records
+    which input columns each reduced column combines.
     """
 
     def __init__(self, nrows: int, columns: list[int]):
@@ -55,23 +60,15 @@ class F2Matrix:
         for c, col in enumerate(self.columns):
             if col >> nrows:
                 raise ValueError(f"column {c} has a bit at or above row {nrows}")
-        self._pivots: dict[int, tuple[int, int]] | None = None
+        self._pivots: dict[int, int] | None = None
 
     @property
     def ncols(self) -> int:
         return len(self.columns)
 
-    def _eliminate(self) -> dict[int, tuple[int, int]]:
-        # pivot_bit -> (reduced_column, combination); the combination
-        # records which input columns were XORed together, and its top
-        # bit is the column that owns the pivot.
+    def _eliminate(self) -> dict[int, int]:
         if self._pivots is None:
-            pivots: dict[int, tuple[int, int]] = {}
-            for c, col in enumerate(self.columns):
-                v, combo = _reduce(col, 1 << c, pivots)
-                if v:
-                    pivots[v.bit_length() - 1] = (v, combo)
-            self._pivots = pivots
+            self._pivots = _pivots(self.columns)
         return self._pivots
 
     def rank(self) -> int:
@@ -80,22 +77,26 @@ class F2Matrix:
     def kernel_basis(self) -> list[int]:
         """Bitmask vectors over the source coordinates spanning the null space.
 
-        Each column that owns no pivot is reduced again, to zero, against
-        the pivot table.  The vectors depend on the elimination order;
-        pass them through `reduced_echelon` for a canonical basis.
+        One elimination pass that keeps each column's combination of input
+        columns and returns those of the columns reducing to zero.  They
+        depend on the order; `reduced_echelon` makes a canonical basis.
         """
-        pivots = self._eliminate()
-        owners = {combo.bit_length() - 1 for _, combo in pivots.values()}
-        return [
-            _reduce(col, 1 << c, pivots)[1]
-            for c, col in enumerate(self.columns)
-            if c not in owners
-        ]
+        pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, combination)
+        kernel: list[int] = []
+        for c, v in enumerate(self.columns):
+            combo = 1 << c
+            while v and (pivot := pivots.get(v.bit_length() - 1)):
+                v ^= pivot[0]
+                combo ^= pivot[1]
+            if v:
+                pivots[v.bit_length() - 1] = (v, combo)
+            else:
+                kernel.append(combo)
+        return kernel
 
-    def solve(self, target: int) -> int | None:
-        """A source vector mapping to ``target``, or None when unsolvable."""
-        v, combo = _reduce(target, 0, self._eliminate())
-        return combo if v == 0 else None
+    def solve(self, target: int) -> bool:
+        """Whether ``target`` lies in the column space; no preimage is kept."""
+        return _reduce(target, self._eliminate()) == 0
 
     def apply(self, vector: int) -> int:
         """Image of ``vector``; coordinates at or past ``ncols`` are ignored."""
@@ -107,12 +108,7 @@ class F2Matrix:
 
 def reduced_echelon(vectors: list[int]) -> list[int]:
     """Canonical reduced-echelon basis of the span, pivots descending."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for v in vectors:
-        v, _ = _reduce(v, 0, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = (v, 0)
-    basis = sorted(((pbit, vec) for pbit, (vec, _) in pivots.items()), reverse=True)
+    basis = sorted(_pivots(vectors).items(), reverse=True)
     # back-substitute so each pivot bit appears in exactly one vector
     for k in range(len(basis)):
         pbit, pvec = basis[k]

@@ -87,7 +87,7 @@ class ChainComplexF2:
             raise ValueError(
                 f"boundaries into degree {q} need degree {q + 1} inside the window"
             )
-        return self._matrix(q + 1).solve(v1 ^ v2) is not None
+        return self._matrix(q + 1).solve(v1 ^ v2)
 
     def betti_rows(self) -> list[tuple[int, int, int, int]]:
         return [

@@ -230,9 +230,9 @@ def _chain_map_numeric(max_total: int) -> tuple[int, str | None]:
                 return cases, (f"fundamental simplex, bidegree ({i}, {j}): "
                                f"{len(out.pairs)} terms survive")
     sweep_total = min(max_total, 4)
-    for a in range(1, 5):
-        for b in range(1, 5):
-            lm, rm = delta_model(a, sweep_total), delta_model(b, sweep_total)
+    models = [delta_model(a, sweep_total) for a in range(1, 5)]
+    for a, lm in enumerate(models, 1):
+        for b, rm in enumerate(models, 1):
             for i in range(sweep_total + 1):
                 for j in range(sweep_total - i + 1):
                     for la in lm.basis(i):

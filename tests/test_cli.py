@@ -119,6 +119,14 @@ def test_delta_csv_golden(capsys):
     assert out.encode() == (GOLDEN / "delta_verdict.csv").read_bytes()
 
 
+def test_delta_poly_golden(capsys):
+    # the largest admitted report whose verdicts go through `solve`: its
+    # class and two perturbations, each solved over 82,251 degree-7 columns
+    code, out, err = run(capsys, "delta", "--q", "3", "--i", "3", "--poly", "4")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "delta_q3_i3_p4.json").read_bytes()
+
+
 def test_delta_noncycle_warning(capsys):
     code, out, err = run(capsys, "delta", "--q", "3", "--i", "1")
     assert code == 0
