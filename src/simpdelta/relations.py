@@ -81,7 +81,7 @@ def _chain_map_transform() -> EMTransform:
 
 
 def _suspended_boundary(tag: str, f: EMTransform):
-    sf = f.suspend()
+    sf = f.suspend().kept()  # all three composites read it
     lhs = sf * boundary_left().suspend() + sf * face0_left()
     return f"F = {tag}, ", lhs, sf * boundary_left()
 
@@ -161,7 +161,7 @@ def _recursion(k: int, max_total: int) -> RelationResult:
     it.  The checker adds the known defect to the right side at (1, 0)
     exactly, so any drift still fails.
     """
-    prev = dwyer_defect(k - 1)
+    prev = dwyer_defect(k - 1).kept()  # read by both summands
     step = face0_right() if k % 2 == 0 else face0_left()
     rhs = prev.suspend() + prev * step
     if k == 1:
@@ -214,8 +214,7 @@ def _chain_map_numeric(max_total: int) -> tuple[int, str | None]:
     """
     # evaluate_em reads the sum's terms once per basis tensor, and a sum
     # forms them on each read: wrap it in a transform that keeps them.
-    chain_map = _chain_map_transform()
-    t = EMTransform(chain_map.index_fn, chain_map.terms)
+    t = _chain_map_transform().kept()
     max_n = min(max_total // 2, 4)
     cases = 0
     for i in range(max_n + 1):

@@ -6,12 +6,17 @@ together with an affine index function saying where V_i (x) W_j is sent.
 The families are infinite, so terms are materialized lazily per bidegree
 and every check is performed over an explicit window.
 
-A sum is one flat node over the summands of both operands, so a sum of
-sums holds one tuple and no nesting.  It keeps no terms: its raw terms at
-a bidegree are the symmetric difference of its summands' terms, formed on
-each read.  Every other transform (constructors, composites, suspensions
-and twists) keeps its raw terms per bidegree once built, because they
-are built from words.  Every transform keeps its reduced value.
+Whether a transform keeps its raw terms is fixed when it is built.  One
+built from an explicit rule keeps them per bidegree, built on first use:
+the constructors, `diagonal_identity`, `shuffle_map`, and
+`EMTransform.kept`, which wraps another transform's terms.  Derived
+transforms keep none and form them on each read: composites,
+suspensions, twists and sums.  A sum is one flat node over the summands
+of both operands, so a sum of sums holds one tuple and no nesting; its
+raw terms are the symmetric difference of its summands' terms.  Every
+transform keeps its reduced value, so one read only through `reduced`
+forms its raw terms once per bidegree; a reader that reads one
+bidegree's raw terms more than once wraps the transform in `kept`.
 
 Equality of two families at a bidegree is decided syntactically: each
 term is normalized at its source degrees, terms whose target degree has a
@@ -97,12 +102,10 @@ class EMTransform:
     (the built-in constructors and combinators preserve this; `word_pair`
     leaves it to the caller).
 
-    A transform built from a rule keeps its raw terms per bidegree, built
-    on first use.  A sum (``summands`` given, ``rule`` None) is flat and
-    keeps none: its raw terms are the symmetric difference of its
-    summands' terms, formed again on each read, so a reader that reads
-    one bidegree many times should wrap it in a transform that keeps
-    them.  Every transform keeps its reduced value per bidegree.
+    A transform built here from a rule keeps its raw terms per bidegree,
+    built on first use.  A sum (``summands`` given, ``rule`` None) and a
+    transform built by `_derived` form them on each read instead.  Every
+    transform keeps its reduced value per bidegree.
     """
 
     def __init__(self, index_fn: IndexFunction, rule, summands: tuple = ()):
@@ -111,8 +114,20 @@ class EMTransform:
         # A transform never lists itself here: the CLI runs with the
         # collector off, and that cycle would keep it alive.
         self._summands: tuple[EMTransform, ...] = summands
+        self._keeps = rule is not None
         self._terms: dict[tuple[int, int], frozenset[TensorWord]] = {}
         self._reduced: dict[tuple[int, int], frozenset] = {}
+
+    @classmethod
+    def _derived(cls, index_fn: IndexFunction, rule) -> "EMTransform":
+        """A transform that forms its raw terms by ``rule`` on each read."""
+        t = cls(index_fn, rule)
+        t._keeps = False
+        return t
+
+    def kept(self) -> "EMTransform":
+        """The same family, keeping its raw terms per bidegree once read."""
+        return EMTransform(self.index_fn, self.terms)
 
     def target(self, i: int, j: int) -> tuple[int, int]:
         return self.index_fn(i, j)
@@ -123,6 +138,8 @@ class EMTransform:
             return frozenset()
         if self._summands:
             return reduce(xor, [t.terms(i, j) for t in self._summands])
+        if not self._keeps:
+            return self._rule(i, j)
         key = (i, j)
         if key not in self._terms:
             self._terms[key] = frozenset(self._rule(i, j))
@@ -163,7 +180,7 @@ class EMTransform:
             return mod2([(fl * gl, fr * gr)
                          for fl, fr in self.terms(p, q) for gl, gr in gterms])
 
-        return EMTransform(self.index_fn.after(other.index_fn), rule)
+        return EMTransform._derived(self.index_fn.after(other.index_fn), rule)
 
     def suspend(self) -> "EMTransform":
         """Shift all word indices up and the bidegree grid diagonally.
@@ -178,7 +195,7 @@ class EMTransform:
                 (wl.suspend(), wr.suspend()) for wl, wr in self.terms(i - 1, j - 1)
             )
 
-        return EMTransform(self.index_fn.suspended(), rule)
+        return EMTransform._derived(self.index_fn.suspended(), rule)
 
     def twist(self) -> "EMTransform":
         """Conjugate by the factor swap."""
@@ -186,7 +203,7 @@ class EMTransform:
         def rule(i, j):
             return frozenset((wr, wl) for wl, wr in self.terms(j, i))
 
-        return EMTransform(self.index_fn.twisted(), rule)
+        return EMTransform._derived(self.index_fn.twisted(), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +323,20 @@ def higher_shuffle(k: int) -> EMTransform:
     D^0 is the suspended shuffle map composed with id (x) s_0; for k >= 1
     the recursion adds the suspension of the previous refinement to its
     composite with d_0 (x) id (k even) or id (x) d_0 (k odd).  The levels
-    are built bottom-up, so a large k costs no deep recursion.
+    are built bottom-up, so a large k costs no deep recursion.  Each level
+    is read at one bidegree by both summands of the next and by the
+    defects, so D^0 and both summands of every later level keep their raw
+    terms; a level itself stays a flat sum.
     """
     if k < 0:
         raise ValueError("the refinement order must be nonnegative")
     levels = _REFINEMENTS
     if not levels:
-        levels.append(shuffle_map().suspend() * degen0_right())
+        levels.append((shuffle_map().suspend() * degen0_right()).kept())
     while len(levels) <= k:
         prev = levels[-1]
         tail = prev * (face0_left() if len(levels) % 2 == 0 else face0_right())
-        levels.append(prev.suspend() + tail)
+        levels.append(prev.suspend().kept() + tail.kept())
     return levels[k]
 
 

@@ -70,6 +70,17 @@ def test_frozen_betti_tables():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_p2_sphere_algebra_homology_is_the_closed_form(n):
+    """SphereAlgebra(n, P=2) is Sym^<=2 of K(F_2, n): its homotopy is the
+    unit, the class in degree n and delta_i of it in degree n + i for
+    2 <= i <= n (Bousfield 1967; Dwyer 1980), and nothing else up to 2n."""
+    model = algebra_model(n, 2 * n + 1, 2)
+    want = [int(q == 0 or q == n or n + 2 <= q <= 2 * n) for q in range(2 * n + 1)]
+    for complex_ in (associated_complex(model), normalized_complex(model)):
+        assert [complex_.homology_rank(q) for q in range(2 * n + 1)] == want
+
+
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_complexes_agree(model):
     """Normalized chains compute the same homology with smaller matrices."""

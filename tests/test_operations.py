@@ -179,6 +179,16 @@ def test_delta_report_contents():
     assert rep["perturbations_checked"] == 3
 
 
+@pytest.mark.parametrize("q, i", [(q, i) for q in range(2, 5) for i in range(2, q + 1)])
+def test_every_p2_operation_on_the_fundamental_class_is_nonzero(q, i):
+    # at P = 2 each delta_i of the degree-q class generates homotopy in
+    # degree q + i (Bousfield 1967; Dwyer 1980)
+    am = algebra_model(q, q + i + 1, 2)
+    rep = delta_report(am, am.fundamental_class(), i)
+    assert rep["is_cycle"] and rep["equals_theta"]
+    assert rep["homology_class_nonzero"] is True
+
+
 def test_no_normalized_boundary_fits_below_poly_4():
     """At P = 2 and 3 half the bound is one factor, and no nonzero
     normalized boundary fits it, whatever q and i: faces keep a

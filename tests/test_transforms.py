@@ -8,10 +8,11 @@ combinations call used inside the module.
 import gc
 import math
 import weakref
+from collections import Counter
 
 import pytest
 
-from simpdelta import relations
+from simpdelta import relations, transforms
 from simpdelta.transforms import (
     EMTransform,
     IndexFunction,
@@ -262,6 +263,72 @@ def test_a_sum_keeps_no_terms():
     assert total._terms == {}
     assert total.reduced(3, 3) == diagonal_identity(2).reduced(3, 3)
     assert total._terms == {}
+
+
+def test_derived_transforms_keep_no_terms_and_kept_ones_do():
+    d0 = higher_shuffle(0)
+    for derived in (d0 * face0_left(), d0.suspend(), d0.twist()):
+        first = derived.terms(3, 2)
+        assert first
+        assert derived.terms(3, 2) == first
+        assert derived.reduced(3, 2) is derived.reduced(3, 2)
+        assert derived._terms == {}
+        wrapped = derived.kept()
+        assert wrapped.terms(3, 2) == first
+        assert wrapped._terms == {(3, 2): first}
+        assert wrapped.terms(3, 2) is wrapped._terms[3, 2]
+    assert d0._terms
+
+
+def test_no_rule_runs_twice_at_one_bidegree_in_one_relation(monkeypatch):
+    """Within one relation, no transform but a sum forms its raw terms at a
+    bidegree twice: whatever is read twice keeps them."""
+    terms = EMTransform.terms
+    runs: Counter = Counter()
+
+    def counted(self, i, j):
+        if i >= 0 and j >= 0 and not self._summands and (i, j) not in self._terms:
+            runs[self, i, j] += 1
+        return terms(self, i, j)
+
+    monkeypatch.setattr(EMTransform, "terms", counted)
+    monkeypatch.setattr(transforms, "_REFINEMENTS", [])
+    dwyer_defect.cache_clear()
+    try:
+        for name in relations.relation_names(4, "all"):
+            runs.clear()
+            assert relations.check_relation(name, SUM_WINDOW)
+            twice = sorted((i, j, n) for (_, i, j), n in runs.items() if n > 1)
+            assert not twice, (name, twice[:5])
+    finally:
+        dwyer_defect.cache_clear()
+
+
+# The transforms that the keeping rule is checked on: those built by sums
+# and every refinement level.
+KEEP_CHECKED = {**SUM_BUILT, "D^0": lambda: [higher_shuffle(0)]}
+
+
+@pytest.fixture(scope="module")
+def all_keeping():
+    """KEEP_CHECKED, built as if every transform but a sum kept its terms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EMTransform, "_derived", classmethod(lambda cls, fn, rule: cls(fn, rule)))
+        patch.setattr(EMTransform, "kept", lambda self: self)
+        patch.setattr(transforms, "_REFINEMENTS", [])
+        return {name: build() for name, build in KEEP_CHECKED.items()}
+
+
+@pytest.mark.parametrize("name", list(KEEP_CHECKED))
+def test_transforms_that_keep_no_terms_read_the_same_terms_twice(all_keeping, name):
+    built, keeping = KEEP_CHECKED[name](), all_keeping[name]
+    assert len(built) == len(keeping)
+    for b, k in zip(built, keeping):
+        for total in range(SUM_WINDOW + 1):
+            for i in range(total + 1):
+                j = total - i
+                assert b.terms(i, j) == k.terms(i, j) == b.terms(i, j), (i, j)
+                assert b.reduced(i, j) == k.reduced(i, j), (i, j)
 
 
 def test_transforms_are_freed_without_the_collector():
