@@ -111,8 +111,8 @@ def _check_size(model):
 # `verify` and a `dump-transform` of the shuffle map, a refinement or a
 # defect will build toward, and the most faces a face sum's dump takes.  It
 # admits window 16 (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18
-# (48,620) and beyond; on a 2-core host window 14 takes about 10 s and
-# 280 MB, window 16 about 50 s and 1.2 GB.  The refinements D^k have at
+# (48,620) and beyond; on a 2-core host window 14 takes about 9 s and
+# 175 MB, window 16 about 50 s and 727 MB.  The refinements D^k have at
 # least the shuffle map's terms, so the estimate is a lower bound for them;
 # their k + 1 levels D^0 .. D^k are counted against the same budget.
 TERM_BUDGET = 20_000
@@ -302,10 +302,8 @@ def _cmd_homology(args) -> int:
     model = _build_model(args)
     assoc = associated_complex(model)
     norm = normalized_complex(model)
-    arows = assoc.betti_rows()
-    nrows = norm.betti_rows()
     table = []
-    for (q, ad, ar, ab), (_, nd, nr, nb) in zip(arows, nrows):
+    for (q, ad, ar, ab), (_, nd, nr, nb) in zip(assoc.betti_rows(), norm.betti_rows()):
         agree = str(ab == nb).lower()
         table.append(["associated", q, ad, ar, ab, agree])
         table.append(["normalized", q, nd, nr, nb, agree])
@@ -394,8 +392,11 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-def _add_common(sub, formats=("json", "csv", "text"), default="json"):
-    sub.add_argument("--format", choices=formats, default=default)
+_FORMATS = ("json", "csv", "text")
+
+
+def _add_common(sub, default="json"):
+    sub.add_argument("--format", choices=_FORMATS, default=default)
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 

@@ -77,9 +77,9 @@ class F2Matrix:
     def kernel_basis(self) -> list[int]:
         """Bitmask vectors over the source coordinates spanning the null space.
 
-        One elimination pass that keeps each column's combination of input
-        columns and returns those of the columns reducing to zero.  They
-        depend on the order; `reduced_echelon` makes a canonical basis.
+        One pass keeping each column's input combination.  Pivots' hold bits
+        of pivot columns only, so zero column c's has top bit c and no other
+        has bit c: the fully reduced echelon basis, top bits ascending.
         """
         pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, combination)
         kernel: list[int] = []

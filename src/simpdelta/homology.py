@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import lshift, xor
 
-from .gf2 import F2Matrix, bits, coordinates, reduced_echelon
+from .gf2 import F2Matrix, bits, coordinates
 from .models import F2Element, Model
 from .words import face
 
@@ -166,16 +166,15 @@ def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
     """Reduced-echelon basis of the common kernel of d_first_face .. d_q.
 
     The faces are stacked into one matrix whose columns are the degree-q
-    labels; the basis vectors are bitmasks over ``model.basis(q)``.  In
-    degree 0 every face lands in the zero space, so the kernel is
-    everything.
+    labels; its one elimination (`kernel_basis`) gives the basis, top bits
+    descending once reversed, as bitmasks over ``model.basis(q)``.  In
+    degree 0 every face lands in the zero space: the kernel is everything.
     """
     if q == 0:
         return [1 << c for c in range(len(model.basis(0)))]
     stride = model.dimension(q - 1)
     cols = _face_columns(model, q, first_face, stride)
-    rows = stride * (q + 1 - first_face)
-    return reduced_echelon(F2Matrix(rows, cols).kernel_basis())
+    return F2Matrix(stride * (q + 1 - first_face), cols).kernel_basis()[::-1]
 
 
 def _elements(model: Model, q: int, first_face: int) -> list[F2Element]:

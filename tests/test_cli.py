@@ -193,6 +193,15 @@ def test_homology_text_golden(capsys):
     assert out.encode() == (GOLDEN / "sphere_algebra2_homology_5.txt").read_bytes()
 
 
+def test_homology_p4_golden(capsys):
+    # normalized rows above P = 2, from stacked-face kernels of up to 5,580
+    # vectors
+    code, out, err = run(capsys, "homology", "--model", "sphere-algebra", "--n",
+                         "3", "--max-degree", "6", "--poly", "4")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "sphere_algebra3_p4_homology_6.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "simp", "--max-total", "-1"), "--max-total must be >= 0"),
     (("verify", "simp", "--max-k", "-1"), "--max-k must be >= 0"),

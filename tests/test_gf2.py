@@ -200,6 +200,8 @@ def test_elimination_matches_scan_oracle(matrix, xs):
     assert m.kernel_basis() == kernel
     assert m.rank() == len(pivots)
     assert reduced_echelon(m.kernel_basis()) == _scan_reduced_echelon(kernel)
+    # the one-pass kernel is already fully reduced, top bits ascending
+    assert m.kernel_basis()[::-1] == reduced_echelon(m.kernel_basis())
     assert len(m.kernel_basis()) == m.ncols - m.rank()
     for v in m.kernel_basis():
         assert m.apply(v) == 0

@@ -5,11 +5,13 @@ contractible, its boundary is a circle, the quotient sphere has one class
 on top, and the normalized complex must agree with the associated one.
 """
 
+import sys
+
 import pytest
 from diagnostics import d_squared_is_zero
 from label_oracle import letter_image, letter_label
 
-from simpdelta import homology
+from simpdelta import gf2, homology
 from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
 from simpdelta.homology import (
     NotACycleError,
@@ -193,6 +195,28 @@ def test_normalized_complex_leaves_the_associated_complex_unbuilt():
     dm = delta_model(2, 4)
     normalized_complex(dm)
     assert dm._associated is None
+
+
+def test_face_kernels_eliminate_once(monkeypatch):
+    # `kernel_basis` is already the reduced-echelon basis, so no stacked-face
+    # kernel runs a second elimination through `reduced_echelon`
+    calls = []
+    original = gf2.reduced_echelon
+
+    def count(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("simpdelta") and \
+                getattr(module, "reduced_echelon", None) is original:
+            monkeypatch.setattr(module, "reduced_echelon", count)
+    for model in MODELS + [algebra_model(3, 6, 4)]:
+        normalized_complex(model)
+        for q in range(model.max_degree + 1):
+            normalized_subspace(model, q)
+            cycle_subspace(model, q)
+    assert calls == []
 
 
 def test_same_class_reads_one_complex_at_every_degree(monkeypatch):
