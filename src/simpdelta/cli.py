@@ -302,8 +302,10 @@ def _cmd_homology(args) -> int:
     model = _build_model(args)
     assoc = associated_complex(model)
     norm = normalized_complex(model)
+    arows = assoc.betti_rows()
+    nrows = norm.betti_rows()
     table = []
-    for (q, ad, ar, ab), (_, nd, nr, nb) in zip(assoc.betti_rows(), norm.betti_rows()):
+    for (q, ad, ar, ab), (_, nd, nr, nb) in zip(arows, nrows):
         agree = str(ab == nb).lower()
         table.append(["associated", q, ad, ar, ab, agree])
         table.append(["normalized", q, nd, nr, nb, agree])
@@ -392,11 +394,8 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-_FORMATS = ("json", "csv", "text")
-
-
 def _add_common(sub, default="json"):
-    sub.add_argument("--format", choices=_FORMATS, default=default)
+    sub.add_argument("--format", choices=("json", "csv", "text"), default=default)
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 

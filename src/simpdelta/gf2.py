@@ -77,9 +77,9 @@ class F2Matrix:
     def kernel_basis(self) -> list[int]:
         """Bitmask vectors over the source coordinates spanning the null space.
 
-        One pass keeping each column's input combination.  Pivots' hold bits
-        of pivot columns only, so zero column c's has top bit c and no other
-        has bit c: the fully reduced echelon basis, top bits ascending.
+        One elimination.  A pivot column's input combination holds only bits
+        of pivot columns, so the combination of zero column c has top bit c and
+        no other has bit c: the fully reduced echelon basis, top bits ascending.
         """
         pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, combination)
         kernel: list[int] = []

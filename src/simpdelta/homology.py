@@ -174,7 +174,8 @@ def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
         return [1 << c for c in range(len(model.basis(0)))]
     stride = model.dimension(q - 1)
     cols = _face_columns(model, q, first_face, stride)
-    return F2Matrix(stride * (q + 1 - first_face), cols).kernel_basis()[::-1]
+    rows = stride * (q + 1 - first_face)
+    return F2Matrix(rows, cols).kernel_basis()[::-1]
 
 
 def _elements(model: Model, q: int, first_face: int) -> list[F2Element]:
