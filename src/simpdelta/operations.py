@@ -14,7 +14,10 @@ from __future__ import annotations
 import random
 import warnings
 
-from .homology import is_cycle, nonzero_face, normalized_subspace, same_class
+from .gf2 import bits, reduced_echelon
+from .homology import (
+    element_vector, is_cycle, nonzero_face, normalized_subspace, same_class,
+)
 from .models import AlgebraModel, F2Element, evaluate_em, tensor
 from .transforms import higher_shuffle, shuffles
 from .words import degeneracy_word, face
@@ -113,7 +116,9 @@ def delta_report(
     exactly when the value is not a normalized cycle, which happens for
     i = 1 only.  Optionally perturbs the input by seeded normalized
     boundaries and checks the class is unchanged; below a polynomial
-    bound of 4 no boundary fits, and none is sought.
+    bound of 4 no boundary fits, and none is sought.  The fitting
+    boundaries d_0 y often coincide, so each perturbation is a seeded
+    nonempty subset of a GF(2) basis of their span: never zero.
     """
     q = z.degree
     caught: list[warnings.WarningMessage]
@@ -153,16 +158,16 @@ def delta_report(
                 # d_1 .. d_{q+1} vanish on y, so its boundary is d_0 y
                 b = model.apply_word(face(0), y)
                 if b and all(len(label) <= cap for label in b.support):
-                    usable.append(b)
+                    usable.append(element_vector(model, b))
+        basis = reduced_echelon(usable)
+        labels = model.basis(q)
         verdicts = []
-        for _ in range(perturbations):
-            if not usable:
-                break
-            picks = rng.randrange(1, 1 << len(usable))
-            b = model.element([lbl for c, vec in enumerate(usable)
-                               if picks >> c & 1 for lbl in vec.support], q)
-            if b:  # z + b is a normalized cycle, which delta_i checks
-                verdicts.append(same_class(model, value, delta_i(model, z + b, i)))
+        for _ in range(perturbations if basis else 0):
+            picks = rng.randrange(1, 1 << len(basis))
+            b = model.element(
+                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+            # z + b is a normalized cycle, which delta_i checks
+            verdicts.append(same_class(model, value, delta_i(model, z + b, i)))
         # with nothing checked there is no verdict, as with no class
         report["class_stable_under_boundary_perturbations"] = (
             all(verdicts) if verdicts else None)

@@ -13,10 +13,10 @@ the constructors, `diagonal_identity`, `shuffle_map`, and
 transforms keep none and form them on each read: composites,
 suspensions, twists and sums.  A sum is one flat node over the summands
 of both operands, so a sum of sums holds one tuple and no nesting; its
-raw terms are the symmetric difference of its summands' terms.  Every
-transform keeps its reduced value, so one read only through `reduced`
-forms its raw terms once per bidegree; a reader that reads one
-bidegree's raw terms more than once wraps the transform in `kept`.
+raw terms are the symmetric difference of its summands' terms.  No
+transform keeps its reduced value: `reduced` normalizes the raw terms on
+each call, and a reader that reads one bidegree's raw terms more than
+once wraps the transform in `kept`.
 
 Equality of two families at a bidegree is decided syntactically: each
 term is normalized at its source degrees, terms whose target degree has a
@@ -30,7 +30,7 @@ transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from operator import xor
 
@@ -104,8 +104,7 @@ class EMTransform:
 
     A transform built here from a rule keeps its raw terms per bidegree,
     built on first use.  A sum (``summands`` given, ``rule`` None) and a
-    transform built by `_derived` form them on each read instead.  Every
-    transform keeps its reduced value per bidegree.
+    transform built by `_derived` form them on each read instead.
     """
 
     def __init__(self, index_fn: IndexFunction, rule, summands: tuple = ()):
@@ -116,7 +115,6 @@ class EMTransform:
         self._summands: tuple[EMTransform, ...] = summands
         self._keeps = rule is not None
         self._terms: dict[tuple[int, int], frozenset[TensorWord]] = {}
-        self._reduced: dict[tuple[int, int], frozenset] = {}
 
     @classmethod
     def _derived(cls, index_fn: IndexFunction, rule) -> "EMTransform":
@@ -147,18 +145,15 @@ class EMTransform:
 
     def reduced(self, i: int, j: int) -> frozenset[tuple[NormalForm, NormalForm]]:
         """Canonical value at a bidegree: normal-form pairs after cancellation."""
-        key = (i, j)
-        if key not in self._reduced:
-            pairs = []
-            k, l = self.target(i, j)
-            if k >= 0 and l >= 0:  # terms(i, j) is empty where i or j < 0
-                for wl, wr in self.terms(i, j):
-                    nl = normalize(wl, i)
-                    nr = normalize(wr, j)
-                    if not (nl.is_zero or nr.is_zero):
-                        pairs.append((nl, nr))
-            self._reduced[key] = mod2(pairs)
-        return self._reduced[key]
+        pairs = []
+        k, l = self.target(i, j)
+        if k >= 0 and l >= 0:  # terms(i, j) is empty where i or j < 0
+            for wl, wr in self.terms(i, j):
+                nl = normalize(wl, i)
+                nr = normalize(wr, j)
+                if not (nl.is_zero or nr.is_zero):
+                    pairs.append((nl, nr))
+        return mod2(pairs)
 
     def __add__(self, other: "EMTransform") -> "EMTransform":
         if self.index_fn != other.index_fn:
@@ -340,7 +335,6 @@ def higher_shuffle(k: int) -> EMTransform:
     return levels[k]
 
 
-@lru_cache(maxsize=None)
 def dwyer_defect(k: int) -> EMTransform:
     """The symmetrized defect A^k of the k-th refinement.
 
@@ -348,7 +342,8 @@ def dwyer_defect(k: int) -> EMTransform:
     the diagonal-face composite and the two one-sided boundary composites
     of D^{k-1}.  On bidegrees with i + j >= 2k this family equals the
     identity concentrated at (k, k): that is the checkable content of the
-    Dwyer conditions.
+    Dwyer conditions.  Each call builds a new sum over the kept levels of
+    `higher_shuffle`, which lives as long as its reader holds it.
     """
     if k == 0:
         d0 = higher_shuffle(0)

@@ -26,18 +26,20 @@ hash-consing*, 2006): there is one live ``Word`` per distinct factors
 tuple, whichever constructor builds it, and ``copy``, ``deepcopy`` and
 ``pickle`` hand back that same object.  So identity is equality: a word
 hashes and compares as an object, and a cache keyed by words, such as a
-model's plans, never hashes a factors tuple.  The generator check loops
-over the letters only when a word has a letter that never passed it
-before.  Normal forms are hash-consed the same way, one ``NormalForm``
-per distinct form, and compare by identity too.
+model's plans, never hashes a factors tuple.  The generator check runs
+only for factors the word table does not hold yet, and loops over the
+letters only when one of them never passed it before.  Normal forms are
+hash-consed the same way, one ``NormalForm`` per distinct form, and
+compare by identity too.
 
 A word's epi-mono form does not depend on the degree, only whether the
 word reaches it does.  So each word carries its form and its floor: the
 lowest source degree from which the walk neither raises nor lands in the
 zero space.  Both are filled by the word's first ``normalize``; from the
 floor up, ``normalize`` returns the form at once, and below it the walk
-decides as before.  No memo is kept per (word, degree), and a word refers
-to its form but never the other way, so no reference cycle is made.
+only decides whether the word is defined: if so, it is the zero form.
+No memo is kept per (word, degree), and a word refers to its form but
+never the other way, so no reference cycle is made.
 """
 
 from __future__ import annotations
@@ -79,43 +81,38 @@ class Word:
     Words are hash-consed: ``Word(factors)`` returns the one live word with
     those factors, so equal words are one object, and a word hashes and
     compares by identity (``object``'s ``__hash__`` and ``__eq__``), never
-    by its factors.  Every call still runs ``__post_init__`` once, which
-    returns at once for a registered word; for a new one, its letter check
-    loops only when some letter has not passed it before.  A word joins
-    the table only once it is valid.  Its factors are never rewritten;
-    ``normalize`` fills its form and floor once.  Copying or unpickling a
-    word returns the shared object.
+    by its factors.  Factors the table does not hold yet are checked
+    first, and the letter check loops only when some letter has not
+    passed it before; a word joins the table only once it is valid.  Every
+    call then runs ``__post_init__`` once, an empty hook.  Its factors are
+    never rewritten; ``normalize`` fills its form and floor once.  Copying
+    or unpickling a word returns the shared object.
     """
 
     factors: tuple[tuple[str, int], ...]
-    # Private slots, not constructor fields: the registration flag, and
-    # the formal normal form and floor degree (None until the first
-    # ``normalize``).
-    _registered: bool
+    # Private slots, not constructor fields: the formal normal form and
+    # floor degree (None until the first ``normalize``).
     _form: NormalForm | None
     _floor: int
 
     def __new__(cls, factors: tuple[tuple[str, int], ...] = ()):
         word = _WORDS.get(factors)
         if word is None:
+            if not _LETTERS.issuperset(factors):
+                for kind, index in factors:
+                    if kind not in (FACE, DEGENERACY) or index < 0:
+                        raise ValueError(f"bad generator {(kind, index)!r}")
+                _LETTERS.update(factors)
             word = object.__new__(cls)
             object.__setattr__(word, "factors", factors)
-            object.__setattr__(word, "_registered", False)
             object.__setattr__(word, "_form", None)
+            _WORDS[factors] = word
         word.__post_init__()
         return word
 
     def __post_init__(self):
-        if self._registered:  # already checked
-            return
-        factors = self.factors
-        if not _LETTERS.issuperset(factors):
-            for kind, index in factors:
-                if kind not in (FACE, DEGENERACY) or index < 0:
-                    raise ValueError(f"bad generator {(kind, index)!r}")
-            _LETTERS.update(factors)
-        _WORDS[factors] = self
-        object.__setattr__(self, "_registered", True)
+        """Runs once per construction, found or new, and does nothing: the
+        benchmark tracer (`perfbench/tracer.py`) counts words through it."""
 
     def __reduce__(self):
         return (Word, (self.factors,))
@@ -354,7 +351,8 @@ def normalize(word: Word, source_degree: int) -> NormalForm:
     """Normal form of the word's action on the given source degree.
 
     Raises OutOfRangeError when the word is not defined there.  From the
-    word's floor up this is the word's form; below it the walk decides.
+    word's floor up this is the word's form.  Below it the walk either
+    raises or absorbs, by the floor's definition, so the form is zero.
     """
     form = word._form
     if form is None:
@@ -363,6 +361,5 @@ def normalize(word: Word, source_degree: int) -> NormalForm:
         object.__setattr__(word, "_floor", floor)
     if source_degree >= word._floor:
         return form
-    if walk(word.factors, source_degree) is None:
-        return ZERO_FORM
-    return form
+    walk(word.factors, source_degree)
+    return ZERO_FORM

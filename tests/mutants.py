@@ -40,8 +40,44 @@ FACE_ROWS = "tests/test_homology.py::test_face_rows_match_label_oracle"
 KEEPING = "tests/test_transforms.py::test_derived_transforms_keep_no_terms_and_kept_ones_do"
 NO_RULE_TWICE = "tests/test_transforms.py::test_no_rule_runs_twice_at_one_bidegree_in_one_relation"
 LABEL_ORACLE = "tests/test_homology.py::test_label_free_complexes_match_label_oracle"
+FIRST_WITNESS = "tests/test_relations.py::test_parts_add_up_and_the_first_failure_is_the_witness"
+SCAN_ORACLE = "tests/test_gf2.py::test_elimination_matches_scan_oracle"
+NONZERO_DRAWS = "tests/test_operations.py::test_every_drawn_perturbation_moves_the_input"
 
 MUTANTS = [
+    # the catalog as one table: every part's cases count, the first
+    # failing part gives the witness
+    Mutant(
+        "witness-from-the-last-failing-part", "relations.py",
+        "if witness is None and not rep.equal:",
+        "if not rep.equal:",
+        (FIRST_WITNESS,)),
+    Mutant(
+        "stop-after-a-failing-part", "relations.py",
+        """    for label, lhs, rhs in parts:
+        rep = em_equal(lhs, rhs, max_total, min_total)""",
+        """    for label, lhs, rhs in parts:
+        if witness is not None:
+            break
+        rep = em_equal(lhs, rhs, max_total, min_total)""",
+        (FIRST_WITNESS,)),
+    # the refused count's order of magnitude, read off its digits
+    Mutant(
+        "order-of-magnitude-from-the-log", "cli.py",
+        'else f"about 10^{len(str(size)) - 1}"',
+        'else f"about 10^{floor(ln / log(10))}"',
+        ("tests/test_cli.py::test_module_estimate_is_the_exact_count_text",)),
+    Mutant(
+        "boundary-count-first-term-only", "models.py",
+        """            return (log(n + 1) + ln_binomial(n - 1, degree + 1)
+                    + log1p(-r * (1 - r2)))""",
+        """            return log(n + 1) + ln_binomial(n - 1, degree + 1)""",
+        (BOUNDARY_SWITCH,)),
+    Mutant(
+        "anchored-pairs-reversed", "operations.py",
+        "return [((q - i,) + mu, nu) for mu, nu in shuffles(rest, i - 1)]",
+        "return [((q - i,) + mu, nu) for mu, nu in shuffles(rest, i - 1)][::-1]",
+        ("tests/test_operations.py::test_frozen_anchored_pairs",)),
     # evaluate_em: one row per label, and no right image where the left is zero
     Mutant(
         "right-image-where-left-is-zero", "models.py",
@@ -169,6 +205,41 @@ MUTANTS = [
         "sf = f.suspend().kept()",
         "sf = f.suspend()",
         (NO_RULE_TWICE,)),
+    # one input contract for both delta routes, and each face asked once
+    Mutant(
+        "theta-route-takes-a-non-cycle", "operations.py",
+        """    _require_cycle(model, z)
+    em = evaluate_em(""",
+        """    em = evaluate_em(""",
+        ("tests/test_operations.py::test_delta_range_and_cycle_errors",)),
+    Mutant(
+        "class-guard-sums-the-faces-again", "operations.py",
+        'if not report["is_cycle"]:',
+        "if model.boundary(value):",
+        ("tests/test_operations.py::test_the_report_asks_each_face_once",)),
+    # one flat sum that keeps no terms
+    Mutant(
+        "sum-nests-its-operands", "transforms.py",
+        "(self._summands or (self,)) + (other._summands or (other,)))",
+        "(self, other))",
+        ("tests/test_transforms.py::test_sums_are_flat_and_associative",)),
+    Mutant(
+        "sum-keeps-its-terms", "transforms.py",
+        "return reduce(xor, [t.terms(i, j) for t in self._summands])",
+        "return self._terms.setdefault("
+        "(i, j), reduce(xor, [t.terms(i, j) for t in self._summands]))",
+        ("tests/test_transforms.py::test_a_sum_keeps_no_terms",)),
+    # elimination: membership is a bool, the kernel is the one-pass one
+    Mutant(
+        "solve-returns-the-remainder", "gf2.py",
+        "return _reduce(target, self._eliminate()) == 0",
+        "return _reduce(target, self._eliminate())",
+        ("tests/test_gf2.py::test_small_matrix",)),
+    Mutant(
+        "kernel-combination-not-carried", "gf2.py",
+        "                combo ^= pivot[1]\n",
+        "",
+        (SCAN_ORACLE,)),
     # the stacked-face kernel: one elimination, top bits descending
     Mutant(
         "face-kernel-ascending", "homology.py",
@@ -180,6 +251,52 @@ MUTANTS = [
         "return [1 << c for c in range(len(model.basis(0)))]",
         "return [1 << c for c in reversed(range(len(model.basis(0))))]",
         (f"{LABEL_ORACLE}[Delta(2)-top4]",)),
+    # perturbations are drawn from a basis of the boundaries' span
+    Mutant(
+        "perturbations-from-the-raw-boundaries", "operations.py",
+        "basis = reduced_echelon(usable)",
+        "basis = usable",
+        (NONZERO_DRAWS,)),
+    Mutant(
+        "raw-boundaries-and-zero-draws-skipped", "operations.py",
+        """        basis = reduced_echelon(usable)
+        labels = model.basis(q)
+        verdicts = []
+        for _ in range(perturbations if basis else 0):
+            picks = rng.randrange(1, 1 << len(basis))
+            b = model.element(
+                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+            # z + b is a normalized cycle, which delta_i checks
+            verdicts.append(""",
+        """        basis = usable
+        labels = model.basis(q)
+        verdicts = []
+        for _ in range(perturbations if basis else 0):
+            picks = rng.randrange(1, 1 << len(basis))
+            b = model.element(
+                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+            if b:
+                verdicts.append(""",
+        ("tests/test_cli.py::test_drawn_perturbations_never_cancel",)),
+    # memo state no run reads: defects, words and normal forms
+    Mutant(
+        "defects-cached", "transforms.py",
+        "def dwyer_defect(k: int) -> EMTransform:",
+        "@__import__('functools').lru_cache(maxsize=None)\n"
+        "def dwyer_defect(k: int) -> EMTransform:",
+        ("tests/test_transforms.py::test_a_defect_is_freed_once_dropped",)),
+    Mutant(
+        "new-word-letters-unchecked", "words.py",
+        "if not _LETTERS.issuperset(factors):",
+        "if False:",
+        ("tests/test_words.py::test_a_rejected_word_is_never_registered",)),
+    Mutant(
+        "form-below-the-floor", "words.py",
+        """    walk(word.factors, source_degree)
+    return ZERO_FORM""",
+        """    walk(word.factors, source_degree)
+    return form""",
+        ("tests/test_words.py::test_normalize_matches_the_oracle_at_every_degree",)),
 ]
 
 

@@ -127,6 +127,18 @@ def test_delta_poly_golden(capsys):
     assert out.encode() == (GOLDEN / "delta_q3_i3_p4.json").read_bytes()
 
 
+def test_drawn_perturbations_never_cancel(capsys):
+    # the two fitting boundaries at q = 2, P = 4 are one boundary, so a
+    # draw of both once summed to zero and checked nothing at this seed
+    code, out, err = run(capsys, "delta", "--q", "2", "--i", "2", "--poly", "4",
+                         "--seed", "20")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["perturbations_checked"] == 2
+    assert report["class_stable_under_boundary_perturbations"] is True
+    assert out.encode() == (GOLDEN / "delta_q2_i2_p4_seed20.json").read_bytes()
+
+
 def test_delta_noncycle_warning(capsys):
     code, out, err = run(capsys, "delta", "--q", "3", "--i", "1")
     assert code == 0

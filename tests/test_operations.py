@@ -256,6 +256,26 @@ def test_class_verdict_is_null_exactly_when_the_face_sum_survives(monkeypatch):
     assert sum(nulls.values()) == 120
 
 
+@pytest.mark.parametrize("q, seed", [(2, 20), (2, 37), (3, 5), (3, 20)])
+def test_every_drawn_perturbation_moves_the_input(monkeypatch, q, seed):
+    # the fitting boundaries span one dimension here, so a draw from the
+    # boundaries themselves can sum to zero and perturb nothing
+    inputs = []
+
+    def recorded(model, x, i):
+        inputs.append(x)
+        return delta_i(model, x, i)
+
+    monkeypatch.setattr(operations, "delta_i", recorded)
+    am = algebra_model(q, q + 3, 4)
+    z = am.fundamental_class()
+    rep = delta_report(am, z, 2, perturbations=2, seed=seed)
+    assert rep["perturbations_checked"] == 2
+    assert rep["class_stable_under_boundary_perturbations"] is True
+    assert inputs[0] == z and len(inputs) == 3
+    assert all(x != z for x in inputs[1:])
+
+
 def test_the_report_asks_each_face_once(monkeypatch):
     """On the benchmark's delta run the report applies at most 83 face
     words, against 317 when it also summed the faces of every value it
