@@ -4,7 +4,7 @@ homotopy operations they induce on simplicial F2-algebras.
 The layers, bottom up:
 
 - `words`: simplicial generator words, epi-mono normal forms, suspension.
-- `gf2`: bit-packed exact linear algebra over the two-element field.
+- `gf2`: exact sparse linear algebra over the two-element field.
 - `transforms`: bidegree-indexed families of tensor word sums (the
   Eilenberg-MacLane shuffle map, its degree-lowering refinements, the
   Dwyer defects) with windowed multiset equality.

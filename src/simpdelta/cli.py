@@ -82,9 +82,9 @@ def _refuse_over(budget: int, ln: float, exact, what: str):
 
 
 # The largest top-degree basis that `delta` and `homology` will build.  It
-# admits delta --q 5 --i 5 (107,416 monomials in degree 11: seconds, some
-# hundred MB) and refuses --q 6 --i 6 (1,474,903), which would run for
-# minutes before its first elimination.
+# admits delta --q 5 --i 5 (107,416 monomials in degree 11: about a second
+# and 55 MB on a 2-core host) and refuses --q 6 --i 6 (1,474,903), which
+# would run for minutes before its first elimination.
 BASIS_BUDGET = 200_000
 
 # The most work, (top + 1)^2 dim(top) (top + 1 + P), that `delta` and

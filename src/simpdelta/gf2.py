@@ -1,20 +1,28 @@
 """Exact linear algebra over the two-element field.
 
-Vectors are Python ints used as bitmasks (bit c = coordinate c), so row
-operations are single XORs on arbitrarily wide rows.
+A matrix is stored column-wise, each column an ascending tuple of the
+rows where it is 1, so a face column costs its q + 1 entries however many
+rows the matrix has.  Vectors that cross the interface (the target of
+``solve``, the argument and value of ``apply``, kernel vectors and the
+vectors of ``reduced_echelon`` and ``coordinates``) are Python ints used
+as bitmasks (bit c = coordinate c).
 
-Elimination is the standard column reduction with a pivot table (see
-Chen-Kerber, *Persistent homology computation with a twist*, 2011): a
-dict maps each pivot bit to its reduced column.  A column is XORed only
-with the pivot whose bit is its current highest set bit, until that bit
-has no pivot (the column becomes a new pivot) or the column is zero.
-Columns are taken in their given order and the highest set bit is the
-pivot, so the pivot bits, and every canonical object derived from them,
-are reproducible.  Only ``kernel_basis`` records which input columns
-were combined.  ``mod2`` is the one mod-2 sum of a sequence of terms.
+Elimination is the standard sparse column reduction with a pivot table
+(Chen-Kerber, *Persistent homology computation with a twist*, 2011; Bauer,
+*Ripser*, 2021): a dict maps each pivot row to its reduced column, a set
+of rows.  A column is XORed (a symmetric difference) only with the pivot
+that owns its current largest row, until that row has no pivot (the
+column becomes a new pivot) or the column is empty.  Columns are taken in
+their given order and the largest row is the pivot, so the pivot rows,
+and every canonical object derived from them, are reproducible.  Only
+``kernel_basis`` records which input columns were combined.  ``mod2`` is
+the one mod-2 sum of a sequence of terms.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import itemgetter, lshift
 
 
 def mod2(items) -> frozenset:
@@ -28,45 +36,61 @@ def mod2(items) -> frozenset:
     return frozenset(odd)
 
 
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    """Clear top bits of ``v`` against the pivot table: zero or an unowned top bit."""
-    while v and (pivot := pivots.get(v.bit_length() - 1)):
+def _reduce(v: set, pivots: dict) -> set:
+    """Clear the largest rows of ``v`` against the pivot table: empty or an
+    unowned largest row.  ``v`` is changed in place."""
+    while v and (pivot := pivots.get(max(v))):
         v ^= pivot
     return v
 
 
-def _pivots(vectors) -> dict[int, int]:
-    """The pivot table of ``vectors``: pivot bit -> reduced vector."""
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        v = _reduce(v, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
+def _pivots(columns) -> dict:
+    """The pivot table of ``columns``, ascending row tuples: pivot row ->
+    reduced column, a set of rows.  A column whose largest row has no pivot
+    yet is its own reduced column, kept as a frozenset."""
+    pivots: dict = {}
+    for col in columns:
+        if not col:
+            continue
+        pivot = pivots.get(col[-1])
+        if pivot is None:
+            pivots[col[-1]] = frozenset(col)
+            continue
+        v = set(col)
+        v ^= pivot
+        if v := _reduce(v, pivots):
+            pivots[max(v)] = v
     return pivots
+
+
+def _vector(rows) -> int:
+    """The bitmask with a bit at each of the distinct ``rows``."""
+    return sum(map(lshift, repeat(1), rows))
 
 
 class F2Matrix:
     """A linear map F2^ncols -> F2^nrows stored column-wise.
 
-    ``columns[c]`` is the image of the c-th standard basis vector, packed
-    into an int over the target coordinates; a bit at or above ``nrows``
-    is a layout error and raises ValueError.  Only `kernel_basis` records
-    which input columns each reduced column combines.
+    ``columns[c]`` is the image of the c-th standard basis vector: the
+    ascending tuple of the target rows where it is 1.  A row at or above
+    ``nrows`` is a layout error and raises ValueError.  Only
+    `kernel_basis` records which input columns each reduced column
+    combines.
     """
 
-    def __init__(self, nrows: int, columns: list[int]):
+    def __init__(self, nrows: int, columns: list[tuple[int, ...]]):
         self.nrows = nrows
         self.columns = list(columns)
-        for c, col in enumerate(self.columns):
-            if col >> nrows:
-                raise ValueError(f"column {c} has a bit at or above row {nrows}")
-        self._pivots: dict[int, int] | None = None
+        if max(map(itemgetter(-1), filter(None, self.columns)), default=-1) >= nrows:
+            c = next(c for c, col in enumerate(self.columns) if col and col[-1] >= nrows)
+            raise ValueError(f"column {c} has a row at or above row {nrows}")
+        self._pivots: dict | None = None
 
     @property
     def ncols(self) -> int:
         return len(self.columns)
 
-    def _eliminate(self) -> dict[int, int]:
+    def _eliminate(self) -> dict:
         if self._pivots is None:
             self._pivots = _pivots(self.columns)
         return self._pivots
@@ -77,45 +101,50 @@ class F2Matrix:
     def kernel_basis(self) -> list[int]:
         """Bitmask vectors over the source coordinates spanning the null space.
 
-        One elimination.  A pivot column's input combination holds only bits
-        of pivot columns, so the combination of zero column c has top bit c and
+        One elimination.  A pivot column's input combination holds only
+        pivot columns, so the combination of empty column c has top bit c and
         no other has bit c: the fully reduced echelon basis, top bits ascending.
         """
-        pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, combination)
+        # pivot row -> (reduced column, input combination); a column that is
+        # its own reduction keeps its tuple, and its combination is (c,)
+        pivots: dict = {}
         kernel: list[int] = []
-        for c, v in enumerate(self.columns):
-            combo = 1 << c
-            while v and (pivot := pivots.get(v.bit_length() - 1)):
-                v ^= pivot[0]
-                combo ^= pivot[1]
+        for c, col in enumerate(self.columns):
+            if col and col[-1] not in pivots:
+                pivots[col[-1]] = (col, (c,))
+                continue
+            v, combo = set(col), {c}
+            while v and (pivot := pivots.get(top := max(v))):
+                v.symmetric_difference_update(pivot[0])
+                combo.symmetric_difference_update(pivot[1])
             if v:
-                pivots[v.bit_length() - 1] = (v, combo)
+                pivots[top] = (v, combo)
             else:
-                kernel.append(combo)
+                kernel.append(_vector(combo))
         return kernel
 
     def solve(self, target: int) -> bool:
         """Whether ``target`` lies in the column space; no preimage is kept."""
-        return _reduce(target, self._eliminate()) == 0
+        return not _reduce(set(bits(target)), self._eliminate())
 
     def apply(self, vector: int) -> int:
         """Image of ``vector``; coordinates at or past ``ncols`` are ignored."""
-        out = 0
+        out: set = set()
         for c in bits(vector & ((1 << self.ncols) - 1)):
-            out ^= self.columns[c]
-        return out
+            out.symmetric_difference_update(self.columns[c])
+        return _vector(out)
 
 
 def reduced_echelon(vectors: list[int]) -> list[int]:
     """Canonical reduced-echelon basis of the span, pivots descending."""
-    basis = sorted(_pivots(vectors).items(), reverse=True)
+    pivots = _pivots([tuple(bits(v)) for v in vectors])
+    basis = [(pbit, set(vec)) for pbit, vec in sorted(pivots.items(), reverse=True)]
     # back-substitute so each pivot bit appears in exactly one vector
-    for k in range(len(basis)):
-        pbit, pvec = basis[k]
-        for j in range(k):
-            if basis[j][1] >> pbit & 1:
-                basis[j] = (basis[j][0], basis[j][1] ^ pvec)
-    return [vec for _, vec in basis]
+    for k, (pbit, pvec) in enumerate(basis):
+        for _, vec in basis[:k]:
+            if pbit in vec:
+                vec ^= pvec
+    return [_vector(vec) for _, vec in basis]
 
 
 def coordinates(vector: int, echelon_basis: list[int]) -> int | None:

@@ -1,24 +1,23 @@
 """Chain complexes over F2 attached to the finite models.
 
-A complex is held as its differential alone: per degree, one bitmask
-per basis vector.  Two complexes per model: the associated complex
-(basis = the model basis, differential = sum of all faces), built once
-per model for degrees 0..max_degree and kept on it, and the normalized
-one, the subcomplex whose degree q part is the intersection of the
-kernels of d_1 ... d_q.  On that subcomplex the associated differential
-is d_0 (May, *Simplicial Objects in Algebraic Topology*, §22), so the
+A complex is held as its differential alone: per degree, one column per
+basis vector, the ascending tuple of the degree-(q-1) basis indices in
+its boundary.  Two complexes per model: the associated complex (basis =
+the model basis, differential = sum of all faces), built once per model
+for degrees 0..max_degree and kept on it, and the normalized one, the
+subcomplex whose degree q part is the intersection of the kernels of
+d_1 ... d_q.  On that subcomplex the associated differential is d_0
+(May, *Simplicial Objects in Algebraic Topology*, §22), so the
 normalized differential is d_0 alone, read from the face table.  They
 compute the same homology, which the tests and the CLI verify
 degreewise.  Both read the faces from the model's face table over basis
 indices (``Model.faces``, one list per face), not from labels.  All
-linear algebra is exact bit-packed elimination from `gf2`.
+linear algebra is exact sparse elimination from `gf2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import lshift, xor
 
 from .gf2 import F2Matrix, bits, coordinates
 from .models import F2Element, Model
@@ -33,14 +32,16 @@ class NotACycleError(Exception):
 class ChainComplexF2:
     """Nonnegatively graded complex, degrees 0..top, held as its differential.
 
-    ``diff[q]`` lists, per degree-q basis vector, its boundary as a
-    bitmask over the degree-(q-1) basis; ``diff[0]`` holds one 0 per
-    degree-0 basis vector, so ``len(diff[q])`` is the dimension.
+    ``diff[q]`` lists, per degree-q basis vector, its boundary as the
+    ascending tuple of the degree-(q-1) basis indices it meets;
+    ``diff[0]`` holds one empty tuple per degree-0 basis vector, so
+    ``len(diff[q])`` is the dimension.  Vectors passed to the methods
+    are bitmasks over the basis, as in `gf2`.
     Homology is defined for q <= top - 1 (the differential into degree
     top is unknown beyond the truncation).
     """
 
-    diff: list[list[int]]
+    diff: list[list[tuple[int, ...]]]
     _solvers: dict[int, F2Matrix] = field(default_factory=dict, repr=False)
 
     @property
@@ -104,33 +105,41 @@ def associated_complex(model: Model) -> ChainComplexF2:
     reused by every later query.  Treat it as read-only.
     """
     if model._associated is None:
-        diff = [[0] * len(model.basis(0))]
+        diff = [[()] * len(model.basis(0))]
         for q in range(1, model.max_degree + 1):
             diff.append(_face_columns(model, q, 0, 0))
         model._associated = ChainComplexF2(diff)
     return model._associated
 
 
-def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[int]:
-    """Faces d_first_face .. d_q of each degree-q label, one bitmask per label.
+def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[tuple]:
+    """Faces d_first_face .. d_q of each degree-q label, one column per label.
 
-    Read off ``model.faces(q)``, one face list at a time.  Face d_r is
-    placed over the degree-(q-1) basis shifted by ``(r - first_face) *
-    stride`` bits: stride 0 sums the faces mod 2 (the associated
-    differential), stride dim(q-1) stacks them (the columns of a
-    face-kernel matrix).  ``bit`` ends in 0, so a zero face (-1) sets no
-    bit, and the columns are one lazy chain of XORs, built once at the end.
-    A block at shift 0 is not shifted: ``x << 0`` copies a wide int.
+    Read off ``model.faces(q)``: a column is the ascending tuple of its
+    rows.  Face d_r is placed over the degree-(q-1) basis shifted by
+    ``(r - first_face) * stride`` rows: stride dim(q-1) stacks the faces
+    (the columns of a face-kernel matrix), so row k * stride + t is face k
+    at index t, and stride 0 sums them mod 2 (the associated differential),
+    keeping the rows hit an odd number of times.  A zero face (-1) is no
+    row.  Sorted, a column's zero faces come first and are cut off, and
+    the hits of one row are adjacent, so they cancel pairwise in one pass.
     """
     faces = model.faces(q)[first_face:]
-    bit = [1 << c for c in range(model.dimension(q - 1))] + [0]
-    cols = repeat(0, len(faces[0]))
-    for k, f in enumerate(faces):
-        block = map(bit.__getitem__, f)
-        if k * stride:
-            block = map(lshift, block, repeat(k * stride))
-        cols = map(xor, cols, block)
-    return list(cols)
+    if stride:
+        shifts = range(0, len(faces) * stride, stride)
+        return [tuple([s + t for s, t in zip(shifts, row) if t >= 0])
+                for row in zip(*faces)]
+    cols = []
+    for hits in map(sorted, zip(*faces)):
+        del hits[:hits.count(-1)]
+        odd = []
+        for t in hits:
+            if odd and odd[-1] == t:
+                odd.pop()
+            else:
+                odd.append(t)
+        cols.append(tuple(odd))
+    return cols
 
 
 def normalized_complex(model: Model) -> ChainComplexF2:
@@ -139,11 +148,11 @@ def normalized_complex(model: Model) -> ChainComplexF2:
     Basis vectors are canonical reduced-echelon bitmasks over the model
     basis.  Every face but d_0 vanishes on them, so the differential is
     d_0 alone, read from ``model.faces(q)[0]`` and expressed in the
-    degree-(q-1) basis.
+    degree-(q-1) basis, one column of basis indices per vector.
     """
     top = model.max_degree
     nbases = [_face_kernel(model, q, 1) for q in range(top + 1)]
-    diff = [[0] * len(nbases[0])]
+    diff = [[()] * len(nbases[0])]
     for q in range(1, top + 1):
         d0 = model.faces(q)[0]
         cols = []
@@ -157,7 +166,7 @@ def normalized_complex(model: Model) -> ChainComplexF2:
                 raise AssertionError(
                     "d_0 left the normalized subspace; the model actions are broken"
                 )
-            cols.append(coords)
+            cols.append(tuple(bits(coords)))
         diff.append(cols)
     return ChainComplexF2(diff)
 

@@ -41,7 +41,7 @@ KEEPING = "tests/test_transforms.py::test_derived_transforms_keep_no_terms_and_k
 NO_RULE_TWICE = "tests/test_transforms.py::test_no_rule_runs_twice_at_one_bidegree_in_one_relation"
 LABEL_ORACLE = "tests/test_homology.py::test_label_free_complexes_match_label_oracle"
 FIRST_WITNESS = "tests/test_relations.py::test_parts_add_up_and_the_first_failure_is_the_witness"
-SCAN_ORACLE = "tests/test_gf2.py::test_elimination_matches_scan_oracle"
+DENSE_ORACLE = "tests/test_gf2.py::test_sparse_elimination_matches_the_dense_oracle"
 NONZERO_DRAWS = "tests/test_operations.py::test_every_drawn_perturbation_moves_the_input"
 
 MUTANTS = [
@@ -112,6 +112,11 @@ MUTANTS = [
         "if 10**3 * n * (n - 1) <= 2 * (n + degree):",
         "if 10**4 * n * (n - 1) <= 2 * (n + degree):",
         (BOUNDARY_SWITCH,)),
+    Mutant(
+        "boundary-count-switch-at-1e-2", "models.py",
+        "if 10**3 * n * (n - 1) <= 2 * (n + degree):",
+        "if 10**2 * n * (n - 1) <= 2 * (n + degree):",
+        ("tests/test_cli.py::test_boundary_estimate_at_a_share_of_one_hundredth_is_the_log_of_its_count",)),
     # face tables
     Mutant(
         "module-faces-in-reverse-order", "models.py",
@@ -229,17 +234,75 @@ MUTANTS = [
         "return self._terms.setdefault("
         "(i, j), reduce(xor, [t.terms(i, j) for t in self._summands]))",
         ("tests/test_transforms.py::test_a_sum_keeps_no_terms",)),
-    # elimination: membership is a bool, the kernel is the one-pass one
+    # elimination: membership is a bool, the kernel is the one-pass one,
+    # the pivot is the largest row
     Mutant(
         "solve-returns-the-remainder", "gf2.py",
-        "return _reduce(target, self._eliminate()) == 0",
-        "return _reduce(target, self._eliminate())",
+        "return not _reduce(set(bits(target)), self._eliminate())",
+        "return _reduce(set(bits(target)), self._eliminate())",
         ("tests/test_gf2.py::test_small_matrix",)),
     Mutant(
         "kernel-combination-not-carried", "gf2.py",
-        "                combo ^= pivot[1]\n",
+        "                combo.symmetric_difference_update(pivot[1])\n",
         "",
-        (SCAN_ORACLE,)),
+        (DENSE_ORACLE,)),
+    Mutant(
+        "pivot-on-the-smallest-row", "gf2.py",
+        '''    while v and (pivot := pivots.get(max(v))):
+        v ^= pivot
+    return v
+
+
+def _pivots(columns) -> dict:
+    """The pivot table of ``columns``, ascending row tuples: pivot row ->
+    reduced column, a set of rows.  A column whose largest row has no pivot
+    yet is its own reduced column, kept as a frozenset."""
+    pivots: dict = {}
+    for col in columns:
+        if not col:
+            continue
+        pivot = pivots.get(col[-1])
+        if pivot is None:
+            pivots[col[-1]] = frozenset(col)
+            continue
+        v = set(col)
+        v ^= pivot
+        if v := _reduce(v, pivots):
+            pivots[max(v)] = v''',
+        '''    while v and (pivot := pivots.get(min(v))):
+        v ^= pivot
+    return v
+
+
+def _pivots(columns) -> dict:
+    """The pivot table of ``columns``, ascending row tuples: pivot row ->
+    reduced column, a set of rows.  A column whose largest row has no pivot
+    yet is its own reduced column, kept as a frozenset."""
+    pivots: dict = {}
+    for col in columns:
+        if not col:
+            continue
+        pivot = pivots.get(col[0])
+        if pivot is None:
+            pivots[col[0]] = frozenset(col)
+            continue
+        v = set(col)
+        v ^= pivot
+        if v := _reduce(v, pivots):
+            pivots[min(v)] = v''',
+        (DENSE_ORACLE,)),
+    # the associated differential is the parity of the faces, not their union
+    Mutant(
+        "associated-column-keeps-a-row-hit-twice", "homology.py",
+        """        odd = []
+        for t in hits:
+            if odd and odd[-1] == t:
+                odd.pop()
+            else:
+                odd.append(t)
+        cols.append(tuple(odd))""",
+        """        cols.append(tuple(sorted(set(hits))))""",
+        (f"{LABEL_ORACLE}[Delta(1)-top3]",)),
     # the stacked-face kernel: one elimination, top bits descending
     Mutant(
         "face-kernel-ascending", "homology.py",

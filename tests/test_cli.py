@@ -609,6 +609,16 @@ def test_boundary_estimate_near_its_switch_is_the_log_of_its_count(
     assert abs(estimate - ln_boundary_count(n, degree)) < tolerance
 
 
+def test_boundary_estimate_at_a_share_of_one_hundredth_is_the_log_of_its_count():
+    # r = n(n - 1) / (2(n + degree)) = 1482 / 148200 = 10^-2, ten times the
+    # switch: the ratio of the two counts is off by about 2e-12 here, and
+    # inclusion-exclusion to three terms by about 3e-7
+    n, degree = 39, 74_061
+    model = boundary_delta_model(n, degree)
+    assert n * (n - 1) * 100 == 2 * (n + degree)
+    assert abs(model.ln_dimension(degree) - math.log(model.dimension(degree))) < 1e-9
+
+
 def test_an_algebra_without_generators_runs_at_once(capsys):
     # no sphere label below degree 5: the unit is the whole basis, and no
     # loop runs to the polynomial bound

@@ -1,14 +1,20 @@
-"""Bit-packed GF(2) linear algebra."""
+"""Sparse GF(2) linear algebra: columns as row tuples, vectors as bitmasks."""
 
 import pytest
+from dense_oracle import DenseMatrix, reduced_echelon as dense_reduced_echelon, rows_mask
 from hypothesis import example, given, strategies as st
 
 from simpdelta.gf2 import F2Matrix, bits, coordinates, mod2, reduced_echelon
 
 
+def rows(vector: int) -> tuple:
+    """A bitmask column as the ascending tuple of its rows."""
+    return tuple(bits(vector))
+
+
 def test_small_matrix():
     # columns (1,1) and (0,1) of a 2x2 matrix
-    m = F2Matrix(2, [0b11, 0b10])
+    m = F2Matrix(2, [(0, 1), (1,)])
     assert m.ncols == 2
     assert m.rank() == 2
     assert m.apply(0b01) == 0b11
@@ -22,7 +28,7 @@ def test_small_matrix():
 
 def test_singular_matrix():
     # two equal columns plus a zero column
-    m = F2Matrix(3, [0b101, 0b101, 0])
+    m = F2Matrix(3, [(0, 2), (0, 2), ()])
     assert m.rank() == 1
     ker = m.kernel_basis()
     assert len(ker) == 2
@@ -32,12 +38,12 @@ def test_singular_matrix():
 
 
 def test_column_past_the_rows_is_refused():
-    # bits past the rows are a layout error, not more rows to eliminate
-    with pytest.raises(ValueError, match="column 0 has a bit at or above row 2"):
-        F2Matrix(2, [0b111, 0b1000])
-    with pytest.raises(ValueError, match="column 1 has a bit at or above row 2"):
-        F2Matrix(2, [0b11, 0b100])
-    assert F2Matrix(0, [0, 0]).rank() == 0
+    # rows past the matrix are a layout error, not more rows to eliminate
+    with pytest.raises(ValueError, match="column 0 has a row at or above row 2"):
+        F2Matrix(2, [(0, 1, 2), (3,)])
+    with pytest.raises(ValueError, match="column 1 has a row at or above row 2"):
+        F2Matrix(2, [(0, 1), (2,)])
+    assert F2Matrix(0, [(), ()]).rank() == 0
 
 
 def test_bits_roundtrip():
@@ -89,7 +95,7 @@ vectors_st = st.lists(st.integers(0, 2**10 - 1), min_size=0, max_size=12)
 
 @given(vectors_st)
 def test_rank_nullity(columns):
-    m = F2Matrix(10, columns)
+    m = F2Matrix(10, list(map(rows, columns)))
     assert m.rank() + len(m.kernel_basis()) == len(columns)
     for v in m.kernel_basis():
         assert m.apply(v) == 0
@@ -97,7 +103,7 @@ def test_rank_nullity(columns):
 
 @given(vectors_st, st.integers(0, 2**12 - 1))
 def test_solve_consistency(columns, x):
-    m = F2Matrix(10, columns)
+    m = F2Matrix(10, list(map(rows, columns)))
     x &= (1 << len(columns)) - 1
     assert m.solve(m.apply(x)) is True
 
@@ -107,7 +113,7 @@ def test_echelon_spans(columns):
     basis = reduced_echelon(columns)
     for col in columns:
         assert coordinates(col, basis) is not None
-    assert len(basis) == F2Matrix(10, columns).rank()
+    assert len(basis) == F2Matrix(10, list(map(rows, columns))).rank()
 
 
 # -- differential test against the scan-every-pivot elimination -------------
@@ -195,7 +201,7 @@ def wide_matrices(draw):
 @given(wide_matrices(), st.lists(st.integers(0, 2**160 - 1), max_size=4))
 def test_elimination_matches_scan_oracle(matrix, xs):
     nrows, columns = matrix
-    m = F2Matrix(nrows, columns)
+    m = F2Matrix(nrows, list(map(rows, columns)))
     pivots, kernel = _scan_eliminate(columns)
     assert m.kernel_basis() == kernel
     assert m.rank() == len(pivots)
@@ -212,3 +218,46 @@ def test_elimination_matches_scan_oracle(matrix, xs):
         assert type(m.solve(target)) is bool
         assert m.solve(target) == (_scan_solve(pivots, target) is not None)
     assert reduced_echelon(columns) == _scan_reduced_echelon(columns)
+
+
+# -- differential test against the dense bitmask elimination ----------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices of a few rows per column over up to 300 rows, with sums of
+    two earlier columns and zero columns, so columns reduce in chains."""
+    nrows = draw(st.integers(1, 300))
+    column = st.sets(st.integers(0, nrows - 1), max_size=6).map(sorted).map(tuple)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("ccccsz"), max_size=40)):
+        if kind == "s" and columns:
+            # the sum of two earlier columns, or of one with itself: zero
+            a = draw(st.sampled_from(columns))
+            b = draw(st.sampled_from(columns))
+            columns.append(rows(rows_mask(a) ^ rows_mask(b)))
+        elif kind == "z":
+            columns.append(())
+        else:
+            columns.append(draw(column))
+    return nrows, columns
+
+
+@given(sparse_matrices() | wide_matrices().map(lambda m: (m[0], list(map(rows, m[1])))),
+       st.lists(st.integers(0, 2**300 - 1), max_size=4))
+@example((3, [(0, 2), (0, 2), ()]), [0b010, 0b111])
+def test_sparse_elimination_matches_the_dense_oracle(matrix, xs):
+    nrows, columns = matrix
+    m = F2Matrix(nrows, columns)
+    dense = DenseMatrix(nrows, list(map(rows_mask, columns)))
+    assert m.ncols == dense.ncols
+    assert m.rank() == dense.rank()
+    assert m.kernel_basis() == dense.kernel_basis()
+    full = (1 << m.ncols) - 1
+    for x in xs:
+        assert m.apply(x) == dense.apply(x)
+        # a target in the image, and one that mostly is not
+        for target in (dense.apply(x & full), x & ((1 << nrows) - 1)):
+            assert m.solve(target) is dense.solve(target)
+    vectors = list(map(rows_mask, columns))
+    assert reduced_echelon(vectors) == dense_reduced_echelon(vectors)

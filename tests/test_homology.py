@@ -256,7 +256,8 @@ def test_shared_complex_verdicts_match_fresh_build(make):
 
 
 def _oracle_stacked_faces(model, q, first_face):
-    """Faces d_first_face .. d_q of each label, stacked in a loop of its own."""
+    """Faces d_first_face .. d_q of each label, stacked in a loop of its own,
+    each column the ascending tuple of its rows."""
     lower = model.basis(q - 1)
     index = {lbl: c for c, lbl in enumerate(lower)}
     cols = []
@@ -266,7 +267,7 @@ def _oracle_stacked_faces(model, q, first_face):
             img = letter_label(model, (FACE, r), lbl, q)
             if img is not None:
                 stacked ^= 1 << (index[img] + (r - first_face) * len(lower))
-        cols.append(stacked)
+        cols.append(tuple(bits(stacked)))
     return cols
 
 
@@ -292,9 +293,10 @@ def _oracle_normalized_diff(model):
                 out ^= 1 << index[img]
         return out
 
-    diff = [[0] * len(nbases[0])]
+    diff = [[()] * len(nbases[0])]
     for q in range(1, model.max_degree + 1):
-        diff.append([coordinates(d0(q, vec), nbases[q - 1]) for vec in nbases[q]])
+        diff.append([tuple(bits(coordinates(d0(q, vec), nbases[q - 1])))
+                     for vec in nbases[q]])
     return diff
 
 
@@ -386,4 +388,4 @@ def test_label_free_complexes_match_label_oracle(model):
             assert element_vector(model, x) == _oracle_element_vector(model, x)
             if q >= 1:
                 boundary = _oracle_element_vector(model, model.boundary(x))
-                assert assoc.diff[q][c] == boundary
+                assert assoc.diff[q][c] == tuple(bits(boundary))
