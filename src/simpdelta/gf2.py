@@ -2,10 +2,10 @@
 
 A matrix is stored column-wise, each column an ascending tuple of the
 rows where it is 1, so a face column costs its q + 1 entries however many
-rows the matrix has.  Vectors that cross the interface (the target of
-``solve``, the argument and value of ``apply``, kernel vectors and the
-vectors of ``reduced_echelon`` and ``coordinates``) are Python ints used
-as bitmasks (bit c = coordinate c).
+rows the matrix has.  Every vector that crosses the interface (the target
+of ``solve``, the argument and value of ``apply``, kernel vectors and the
+vectors of ``reduced_echelon`` and ``coordinates``) has the same format:
+the ascending tuple of its nonzero coordinates.
 
 Elimination is the standard sparse column reduction with a pivot table
 (Chen-Kerber, *Persistent homology computation with a twist*, 2011; Bauer,
@@ -21,8 +21,7 @@ the one mod-2 sum of a sequence of terms.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter, lshift
+from operator import itemgetter
 
 
 def mod2(items) -> frozenset:
@@ -63,11 +62,6 @@ def _pivots(columns) -> dict:
     return pivots
 
 
-def _vector(rows) -> int:
-    """The bitmask with a bit at each of the distinct ``rows``."""
-    return sum(map(lshift, repeat(1), rows))
-
-
 class F2Matrix:
     """A linear map F2^ncols -> F2^nrows stored column-wise.
 
@@ -98,17 +92,18 @@ class F2Matrix:
     def rank(self) -> int:
         return len(self._eliminate())
 
-    def kernel_basis(self) -> list[int]:
-        """Bitmask vectors over the source coordinates spanning the null space.
+    def kernel_basis(self) -> list[tuple[int, ...]]:
+        """Vectors over the source coordinates spanning the null space.
 
         One elimination.  A pivot column's input combination holds only
-        pivot columns, so the combination of empty column c has top bit c and
-        no other has bit c: the fully reduced echelon basis, top bits ascending.
+        pivot columns, so the combination of empty column c has last entry c
+        and no other has entry c: the fully reduced echelon basis, last
+        entries ascending.
         """
         # pivot row -> (reduced column, input combination); a column that is
         # its own reduction keeps its tuple, and its combination is (c,)
         pivots: dict = {}
-        kernel: list[int] = []
+        kernel: list[tuple[int, ...]] = []
         for c, col in enumerate(self.columns):
             if col and col[-1] not in pivots:
                 pivots[col[-1]] = (col, (c,))
@@ -120,46 +115,50 @@ class F2Matrix:
             if v:
                 pivots[top] = (v, combo)
             else:
-                kernel.append(_vector(combo))
+                kernel.append(tuple(sorted(combo)))
         return kernel
 
-    def solve(self, target: int) -> bool:
+    def solve(self, target: tuple[int, ...]) -> bool:
         """Whether ``target`` lies in the column space; no preimage is kept."""
-        return not _reduce(set(bits(target)), self._eliminate())
+        return not _reduce(set(target), self._eliminate())
 
-    def apply(self, vector: int) -> int:
-        """Image of ``vector``; coordinates at or past ``ncols`` are ignored."""
+    def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
+        """Image of ``vector``; indices at or past ``ncols`` are ignored."""
         out: set = set()
-        for c in bits(vector & ((1 << self.ncols) - 1)):
+        for c in vector:
+            if c >= self.ncols:
+                break
             out.symmetric_difference_update(self.columns[c])
-        return _vector(out)
+        return tuple(sorted(out))
 
 
-def reduced_echelon(vectors: list[int]) -> list[int]:
-    """Canonical reduced-echelon basis of the span, pivots descending."""
-    pivots = _pivots([tuple(bits(v)) for v in vectors])
-    basis = [(pbit, set(vec)) for pbit, vec in sorted(pivots.items(), reverse=True)]
-    # back-substitute so each pivot bit appears in exactly one vector
-    for k, (pbit, pvec) in enumerate(basis):
+def reduced_echelon(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Canonical reduced-echelon basis of the span, pivots (last entries)
+    descending."""
+    pivots = _pivots(vectors)
+    basis = [(prow, set(vec)) for prow, vec in sorted(pivots.items(), reverse=True)]
+    # back-substitute so each pivot appears in exactly one vector
+    for k, (prow, pvec) in enumerate(basis):
         for _, vec in basis[:k]:
-            if pbit in vec:
+            if prow in vec:
                 vec ^= pvec
-    return [_vector(vec) for _, vec in basis]
+    return [tuple(sorted(vec)) for _, vec in basis]
 
 
-def coordinates(vector: int, echelon_basis: list[int]) -> int | None:
-    """Express a vector in a reduced-echelon basis; None if outside the span."""
-    coords = 0
+def coordinates(vector, echelon_basis: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The positions in a reduced-echelon basis that sum to ``vector``, a
+    collection of indices; None if it is outside the span."""
+    v = set(vector)
+    coords = []
     for k, bvec in enumerate(echelon_basis):
-        pbit = bvec.bit_length() - 1
-        if vector >> pbit & 1:
-            vector ^= bvec
-            coords |= 1 << k
-    return coords if vector == 0 else None
+        if bvec[-1] in v:
+            v.symmetric_difference_update(bvec)
+            coords.append(k)
+    return None if v else tuple(coords)
 
 
 def bits(vector: int):
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits of an int, ascending: a bitmask as a vector."""
     while vector:
         low = vector & -vector
         yield low.bit_length() - 1

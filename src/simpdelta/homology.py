@@ -12,14 +12,16 @@ normalized differential is d_0 alone, read from the face table.  They
 compute the same homology, which the tests and the CLI verify
 degreewise.  Both read the faces from the model's face table over basis
 indices (``Model.faces``, one list per face), not from labels.  All
-linear algebra is exact sparse elimination from `gf2`.
+linear algebra is exact sparse elimination from `gf2`, and every vector
+over a basis, a column or a cycle, is in its one format: the ascending
+tuple of the basis indices where it is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2 import F2Matrix, bits, coordinates
+from .gf2 import F2Matrix, coordinates, mod2
 from .models import F2Element, Model
 from .words import face
 
@@ -36,7 +38,7 @@ class ChainComplexF2:
     ascending tuple of the degree-(q-1) basis indices it meets;
     ``diff[0]`` holds one empty tuple per degree-0 basis vector, so
     ``len(diff[q])`` is the dimension.  Vectors passed to the methods
-    are bitmasks over the basis, as in `gf2`.
+    are ascending tuples of basis indices, as in `gf2`.
     Homology is defined for q <= top - 1 (the differential into degree
     top is unknown beyond the truncation).
     """
@@ -72,13 +74,13 @@ class ChainComplexF2:
             raise ValueError(f"homology defined for degrees 0..{self.top - 1}")
         return self.cycle_rank(q) - self.rank_d(q + 1)
 
-    def boundary_vector(self, q: int, vec: int) -> int:
+    def boundary_vector(self, q: int, vec: tuple[int, ...]) -> tuple[int, ...]:
         return self._matrix(q).apply(vec)
 
-    def is_cycle_vector(self, q: int, vec: int) -> bool:
-        return self.boundary_vector(q, vec) == 0
+    def is_cycle_vector(self, q: int, vec: tuple[int, ...]) -> bool:
+        return not self.boundary_vector(q, vec)
 
-    def same_class(self, q: int, v1: int, v2: int) -> bool:
+    def same_class(self, q: int, v1: tuple[int, ...], v2: tuple[int, ...]) -> bool:
         """Whether two degree-q cycles differ by a boundary."""
         if not self.is_cycle_vector(q, v1):
             raise NotACycleError(f"first argument is not a cycle in degree {q}")
@@ -88,7 +90,7 @@ class ChainComplexF2:
             raise ValueError(
                 f"boundaries into degree {q} need degree {q + 1} inside the window"
             )
-        return self._matrix(q + 1).solve(v1 ^ v2)
+        return self._matrix(q + 1).solve(tuple(sorted(set(v1) ^ set(v2))))
 
     def betti_rows(self) -> list[tuple[int, int, int, int]]:
         return [
@@ -145,7 +147,7 @@ def _face_columns(model: Model, q: int, first_face: int, stride: int) -> list[tu
 def normalized_complex(model: Model) -> ChainComplexF2:
     """Degree q = intersection of ker d_1 .. ker d_q, differential d_0.
 
-    Basis vectors are canonical reduced-echelon bitmasks over the model
+    Basis vectors are canonical reduced-echelon vectors over the model
     basis.  Every face but d_0 vanishes on them, so the differential is
     d_0 alone, read from ``model.faces(q)[0]`` and expressed in the
     degree-(q-1) basis, one column of basis indices per vector.
@@ -157,30 +159,27 @@ def normalized_complex(model: Model) -> ChainComplexF2:
         d0 = model.faces(q)[0]
         cols = []
         for vec in nbases[q]:
-            image = 0
-            for c in bits(vec):
-                if d0[c] >= 0:
-                    image ^= 1 << d0[c]
+            image = mod2(d0[c] for c in vec if d0[c] >= 0)
             coords = coordinates(image, nbases[q - 1])
             if coords is None:
                 raise AssertionError(
                     "d_0 left the normalized subspace; the model actions are broken"
                 )
-            cols.append(tuple(bits(coords)))
+            cols.append(coords)
         diff.append(cols)
     return ChainComplexF2(diff)
 
 
-def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
+def _face_kernel(model: Model, q: int, first_face: int) -> list[tuple[int, ...]]:
     """Reduced-echelon basis of the common kernel of d_first_face .. d_q.
 
     The faces are stacked into one matrix whose columns are the degree-q
-    labels; its one elimination (`kernel_basis`) gives the basis, top bits
-    descending once reversed, as bitmasks over ``model.basis(q)``.  In
+    labels; its one elimination (`kernel_basis`) gives the basis, pivots
+    descending once reversed, as vectors over ``model.basis(q)``.  In
     degree 0 every face lands in the zero space: the kernel is everything.
     """
     if q == 0:
-        return [1 << c for c in range(len(model.basis(0)))]
+        return [(c,) for c in range(len(model.basis(0)))]
     stride = model.dimension(q - 1)
     cols = _face_columns(model, q, first_face, stride)
     rows = stride * (q + 1 - first_face)
@@ -190,7 +189,7 @@ def _face_kernel(model: Model, q: int, first_face: int) -> list[int]:
 def _elements(model: Model, q: int, first_face: int) -> list[F2Element]:
     labels = model.basis(q)
     return [
-        F2Element(q, frozenset(labels[c] for c in bits(v)))
+        F2Element(q, frozenset(map(labels.__getitem__, v)))
         for v in _face_kernel(model, q, first_face)
     ]
 
@@ -209,16 +208,12 @@ def cycle_subspace(model: Model, q: int) -> list[F2Element]:
     return _elements(model, q, 0)
 
 
-def element_vector(model: Model, x: F2Element) -> int:
-    """Coordinates of a model element over ``model.basis(x.degree)``.
-
-    That is the basis of the associated complex in degree ``x.degree``.
-    """
+def element_vector(model: Model, x: F2Element) -> tuple[int, ...]:
+    """The vector of a model element over ``model.basis(x.degree)``, the
+    basis of the associated complex in that degree: the sorted indices of
+    its labels."""
     index = {lbl: c for c, lbl in enumerate(model.basis(x.degree))}
-    v = 0
-    for lbl in x.support:
-        v ^= 1 << index[lbl]
-    return v
+    return tuple(sorted(map(index.__getitem__, x.support)))
 
 
 def nonzero_face(model: Model, x: F2Element) -> int | None:

@@ -165,7 +165,7 @@ def delta_report(
         for _ in range(perturbations if basis else 0):
             picks = rng.randrange(1, 1 << len(basis))
             b = model.element(
-                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+                [labels[r] for c in bits(picks) for r in basis[c]], q)
             # z + b is a normalized cycle, which delta_i checks
             verdicts.append(same_class(model, value, delta_i(model, z + b, i)))
         # with nothing checked there is no verdict, as with no class

@@ -288,11 +288,14 @@ def check_relation(name: str, max_total: int = 8) -> RelationResult:
         return RelationResult(name, description, cases, witness is None, witness)
     for prefix, fn, lo in (("dwyer-", _dwyer, 0), ("recursion-", _recursion, 1)):
         if name.startswith(prefix):
+            digits = name[len(prefix):]
             try:
-                k = int(name[len(prefix):])
+                k = int(digits)
             except ValueError:
                 raise UnknownRelationError(name) from None
-            if k < lo:
+            # int() also reads signs, spaces, underscores, leading zeros and
+            # non-ASCII digits, and the result would be named after k
+            if str(k) != digits or k < lo:
                 raise UnknownRelationError(name)
             return fn(k, max_total)
     raise UnknownRelationError(name)

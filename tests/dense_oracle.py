@@ -6,8 +6,8 @@ elimination is the one `gf2` does on row tuples: columns are taken in their
 given order, the pivot is the highest set bit, and a column is XORed only
 with the pivot that owns its current highest bit.  `DenseMatrix` answers
 `rank`, `kernel_basis`, `solve` and `apply` as `F2Matrix` does, with the
-columns as bitmasks, and `reduced_echelon` is the dense form of
-`gf2.reduced_echelon`.
+columns as bitmasks, and `reduced_echelon` and `coordinates` are the dense
+forms of `gf2.reduced_echelon` and `gf2.coordinates`.
 """
 
 from simpdelta.gf2 import bits
@@ -88,3 +88,14 @@ def reduced_echelon(vectors: list[int]) -> list[int]:
             if basis[j][1] >> pbit & 1:
                 basis[j] = (basis[j][0], basis[j][1] ^ pvec)
     return [vec for _, vec in basis]
+
+
+def coordinates(vector: int, echelon_basis: list[int]) -> int | None:
+    """Express a vector in a reduced-echelon basis; None if outside the span."""
+    coords = 0
+    for k, bvec in enumerate(echelon_basis):
+        pbit = bvec.bit_length() - 1
+        if vector >> pbit & 1:
+            vector ^= bvec
+            coords |= 1 << k
+    return coords if vector == 0 else None

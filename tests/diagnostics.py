@@ -97,7 +97,7 @@ def dump_model(model: Model) -> dict:
 def d_squared_is_zero(cx) -> bool:
     """Whether every boundary of a boundary in the chain complex vanishes."""
     return all(
-        not cx.boundary_vector(q - 1, sum(1 << r for r in col))
+        not cx.boundary_vector(q - 1, col)
         for q in range(2, cx.top + 1)
         for col in cx.diff[q]
     )

@@ -43,6 +43,7 @@ LABEL_ORACLE = "tests/test_homology.py::test_label_free_complexes_match_label_or
 FIRST_WITNESS = "tests/test_relations.py::test_parts_add_up_and_the_first_failure_is_the_witness"
 DENSE_ORACLE = "tests/test_gf2.py::test_sparse_elimination_matches_the_dense_oracle"
 NONZERO_DRAWS = "tests/test_operations.py::test_every_drawn_perturbation_moves_the_input"
+SMALL_MATRIX = "tests/test_gf2.py::test_small_matrix"
 
 MUTANTS = [
     # the catalog as one table: every part's cases count, the first
@@ -61,6 +62,12 @@ MUTANTS = [
             break
         rep = em_equal(lhs, rhs, max_total, min_total)""",
         (FIRST_WITNESS,)),
+    # an order is read as ASCII digits with no leading zero, not by int()
+    Mutant(
+        "relation-order-read-by-int", "relations.py",
+        "if str(k) != digits or k < lo:",
+        "if k < lo:",
+        ("tests/test_relations.py::test_malformed_orders_are_unknown",)),
     # the refused count's order of magnitude, read off its digits
     Mutant(
         "order-of-magnitude-from-the-log", "cli.py",
@@ -238,9 +245,22 @@ MUTANTS = [
     # the pivot is the largest row
     Mutant(
         "solve-returns-the-remainder", "gf2.py",
-        "return not _reduce(set(bits(target)), self._eliminate())",
-        "return _reduce(set(bits(target)), self._eliminate())",
-        ("tests/test_gf2.py::test_small_matrix",)),
+        "return not _reduce(set(target), self._eliminate())",
+        "return _reduce(set(target), self._eliminate())",
+        (SMALL_MATRIX,)),
+    Mutant(
+        "apply-reads-indices-past-ncols", "gf2.py",
+        """            if c >= self.ncols:
+                break
+""",
+        "",
+        (SMALL_MATRIX,)),
+    # a vector's pivot is its last entry
+    Mutant(
+        "coordinates-pivot-from-the-first-entry", "gf2.py",
+        "if bvec[-1] in v:",
+        "if bvec[0] in v:",
+        (DENSE_ORACLE,)),
     Mutant(
         "kernel-combination-not-carried", "gf2.py",
         "                combo.symmetric_difference_update(pivot[1])\n",
@@ -303,7 +323,7 @@ def _pivots(columns) -> dict:
         cols.append(tuple(odd))""",
         """        cols.append(tuple(sorted(set(hits))))""",
         (f"{LABEL_ORACLE}[Delta(1)-top3]",)),
-    # the stacked-face kernel: one elimination, top bits descending
+    # the stacked-face kernel: one elimination, pivots descending
     Mutant(
         "face-kernel-ascending", "homology.py",
         "return F2Matrix(rows, cols).kernel_basis()[::-1]",
@@ -311,8 +331,8 @@ def _pivots(columns) -> dict:
         (f"{LABEL_ORACLE}[Delta(2)-top4]",)),
     Mutant(
         "degree-0-kernel-reversed", "homology.py",
-        "return [1 << c for c in range(len(model.basis(0)))]",
-        "return [1 << c for c in reversed(range(len(model.basis(0))))]",
+        "return [(c,) for c in range(len(model.basis(0)))]",
+        "return [(c,) for c in reversed(range(len(model.basis(0))))]",
         (f"{LABEL_ORACLE}[Delta(2)-top4]",)),
     # perturbations are drawn from a basis of the boundaries' span
     Mutant(
@@ -328,7 +348,7 @@ def _pivots(columns) -> dict:
         for _ in range(perturbations if basis else 0):
             picks = rng.randrange(1, 1 << len(basis))
             b = model.element(
-                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+                [labels[r] for c in bits(picks) for r in basis[c]], q)
             # z + b is a normalized cycle, which delta_i checks
             verdicts.append(""",
         """        basis = usable
@@ -337,7 +357,7 @@ def _pivots(columns) -> dict:
         for _ in range(perturbations if basis else 0):
             picks = rng.randrange(1, 1 << len(basis))
             b = model.element(
-                [labels[r] for c in bits(picks) for r in bits(basis[c])], q)
+                [labels[r] for c in bits(picks) for r in basis[c]], q)
             if b:
                 verdicts.append(""",
         ("tests/test_cli.py::test_drawn_perturbations_never_cancel",)),

@@ -1,14 +1,15 @@
-"""Sparse GF(2) linear algebra: columns as row tuples, vectors as bitmasks."""
+"""Sparse GF(2) linear algebra: columns and vectors as ascending index tuples."""
 
 import pytest
-from dense_oracle import DenseMatrix, reduced_echelon as dense_reduced_echelon, rows_mask
+from dense_oracle import (DenseMatrix, coordinates as dense_coordinates,
+                          reduced_echelon as dense_reduced_echelon, rows_mask)
 from hypothesis import example, given, strategies as st
 
 from simpdelta.gf2 import F2Matrix, bits, coordinates, mod2, reduced_echelon
 
 
 def rows(vector: int) -> tuple:
-    """A bitmask column as the ascending tuple of its rows."""
+    """A bitmask as the ascending tuple of its indices."""
     return tuple(bits(vector))
 
 
@@ -17,13 +18,13 @@ def test_small_matrix():
     m = F2Matrix(2, [(0, 1), (1,)])
     assert m.ncols == 2
     assert m.rank() == 2
-    assert m.apply(0b01) == 0b11
-    assert m.apply(0b11) == 0b01
-    # coordinates past ncols are ignored
-    assert m.apply(0b101) == 0b11
+    assert m.apply((0,)) == (0, 1)
+    assert m.apply((0, 1)) == (0,)
+    # indices past ncols are ignored
+    assert m.apply((0, 2)) == (0, 1)
     assert m.kernel_basis() == []
-    assert m.solve(0b11) is True
-    assert m.solve(0b01) is True
+    assert m.solve((0, 1)) is True
+    assert m.solve((0,)) is True
 
 
 def test_singular_matrix():
@@ -33,8 +34,8 @@ def test_singular_matrix():
     ker = m.kernel_basis()
     assert len(ker) == 2
     for v in ker:
-        assert m.apply(v) == 0
-    assert m.solve(0b010) is False
+        assert m.apply(v) == ()
+    assert m.solve((1,)) is False
 
 
 def test_column_past_the_rows_is_refused():
@@ -56,26 +57,23 @@ def test_bits_roundtrip():
 
 
 def test_reduced_echelon_canonical():
-    basis = reduced_echelon([0b011, 0b110, 0b101, 0b011])
-    assert basis == reduced_echelon(reversed([0b011, 0b110, 0b101]))
-    # each pivot appears in exactly one basis vector
-    pivots = [v.bit_length() - 1 for v in basis]
+    basis = reduced_echelon([(0, 1), (1, 2), (0, 2), (0, 1)])
+    assert basis == reduced_echelon(reversed([(0, 1), (1, 2), (0, 2)]))
+    # each pivot, the last entry, appears in exactly one basis vector
+    pivots = [v[-1] for v in basis]
     assert len(set(pivots)) == len(basis)
     for v in basis:
         for w in basis:
             if w is not v:
-                assert not (w >> (v.bit_length() - 1)) & 1
+                assert v[-1] not in w
 
 
 def test_coordinates():
-    basis = reduced_echelon([0b011, 0b110])
-    assert coordinates(0b101, basis) is not None
-    assert coordinates(0b001, basis) is None
-    coords = coordinates(0b101, basis)
-    v = 0
-    for k in bits(coords):
-        v ^= basis[k]
-    assert v == 0b101
+    basis = reduced_echelon([(0, 1), (1, 2)])
+    assert coordinates((0, 2), basis) is not None
+    assert coordinates((0,), basis) is None
+    coords = coordinates((0, 2), basis)
+    assert tuple(sorted(mod2(r for k in coords for r in basis[k]))) == (0, 2)
 
 
 @given(st.lists(st.integers(0, 7), max_size=30)
@@ -98,21 +96,21 @@ def test_rank_nullity(columns):
     m = F2Matrix(10, list(map(rows, columns)))
     assert m.rank() + len(m.kernel_basis()) == len(columns)
     for v in m.kernel_basis():
-        assert m.apply(v) == 0
+        assert m.apply(v) == ()
 
 
 @given(vectors_st, st.integers(0, 2**12 - 1))
 def test_solve_consistency(columns, x):
     m = F2Matrix(10, list(map(rows, columns)))
     x &= (1 << len(columns)) - 1
-    assert m.solve(m.apply(x)) is True
+    assert m.solve(m.apply(rows(x))) is True
 
 
 @given(vectors_st)
 def test_echelon_spans(columns):
-    basis = reduced_echelon(columns)
+    basis = reduced_echelon(list(map(rows, columns)))
     for col in columns:
-        assert coordinates(col, basis) is not None
+        assert coordinates(rows(col), basis) is not None
     assert len(basis) == F2Matrix(10, list(map(rows, columns))).rank()
 
 
@@ -120,7 +118,8 @@ def test_echelon_spans(columns):
 #
 # The reference below reduces each column against every earlier pivot in
 # turn, testing one bit per pivot.  It is slow but obviously correct, and it
-# is what `gf2` did before the pivot table.
+# is what `gf2` did before the pivot table.  Its vectors are bitmasks, read
+# as index tuples at the comparison.
 
 
 def _scan_eliminate(columns):
@@ -203,24 +202,29 @@ def test_elimination_matches_scan_oracle(matrix, xs):
     nrows, columns = matrix
     m = F2Matrix(nrows, list(map(rows, columns)))
     pivots, kernel = _scan_eliminate(columns)
-    assert m.kernel_basis() == kernel
+    assert m.kernel_basis() == list(map(rows, kernel))
     assert m.rank() == len(pivots)
-    assert reduced_echelon(m.kernel_basis()) == _scan_reduced_echelon(kernel)
-    # the one-pass kernel is already fully reduced, top bits ascending
+    assert reduced_echelon(m.kernel_basis()) == list(map(rows, _scan_reduced_echelon(kernel)))
+    # the one-pass kernel is already fully reduced, last entries ascending
     assert m.kernel_basis()[::-1] == reduced_echelon(m.kernel_basis())
     assert len(m.kernel_basis()) == m.ncols - m.rank()
     for v in m.kernel_basis():
-        assert m.apply(v) == 0
+        assert m.apply(v) == ()
     # targets inside the image, and arbitrary ones that mostly are not
     full = (1 << len(columns)) - 1
-    targets = [m.apply(x & full) for x in xs] + [x & ((1 << nrows) - 1) for x in xs]
+    targets = ([rows_mask(m.apply(rows(x & full))) for x in xs]
+               + [x & ((1 << nrows) - 1) for x in xs])
     for target in targets:
-        assert type(m.solve(target)) is bool
-        assert m.solve(target) == (_scan_solve(pivots, target) is not None)
-    assert reduced_echelon(columns) == _scan_reduced_echelon(columns)
+        assert type(m.solve(rows(target))) is bool
+        assert m.solve(rows(target)) == (_scan_solve(pivots, target) is not None)
+    assert (reduced_echelon(list(map(rows, columns)))
+            == list(map(rows, _scan_reduced_echelon(columns))))
 
 
 # -- differential test against the dense bitmask elimination ----------------
+#
+# The dense oracle's vectors are bitmasks, read as index tuples at the
+# comparison.
 
 
 @st.composite
@@ -252,12 +256,24 @@ def test_sparse_elimination_matches_the_dense_oracle(matrix, xs):
     dense = DenseMatrix(nrows, list(map(rows_mask, columns)))
     assert m.ncols == dense.ncols
     assert m.rank() == dense.rank()
-    assert m.kernel_basis() == dense.kernel_basis()
+    assert m.kernel_basis() == list(map(rows, dense.kernel_basis()))
     full = (1 << m.ncols) - 1
     for x in xs:
-        assert m.apply(x) == dense.apply(x)
+        assert m.apply(rows(x)) == rows(dense.apply(x))
         # a target in the image, and one that mostly is not
         for target in (dense.apply(x & full), x & ((1 << nrows) - 1)):
-            assert m.solve(target) is dense.solve(target)
-    vectors = list(map(rows_mask, columns))
-    assert reduced_echelon(vectors) == dense_reduced_echelon(vectors)
+            assert m.solve(rows(target)) is dense.solve(target)
+    basis = reduced_echelon(columns)
+    dense_basis = dense_reduced_echelon(list(map(rows_mask, columns)))
+    assert basis == list(map(rows, dense_basis))
+    for x in xs:
+        # a sum of basis vectors, whose coordinates are its picks, and a
+        # vector that mostly lies outside the span
+        picks = x & ((1 << len(basis)) - 1)
+        inside = 0
+        for k in bits(picks):
+            inside ^= dense_basis[k]
+        assert coordinates(rows(inside), basis) == rows(picks)
+        for v in (inside, x & ((1 << nrows) - 1)):
+            want = dense_coordinates(v, dense_basis)
+            assert coordinates(rows(v), basis) == (None if want is None else rows(want))

@@ -160,11 +160,11 @@ def test_same_class_argument_errors():
         same_class(dm, vertex, edge)
     complex_ = associated_complex(dm)
     with pytest.raises(NotACycleError, match="second argument"):
-        complex_.same_class(1, 0, element_vector(dm, edge))
+        complex_.same_class(1, (), element_vector(dm, edge))
     # the boundaries into the top degree lie outside the window
     assert complex_.top == 3
     with pytest.raises(ValueError, match="need degree 4 inside the window"):
-        complex_.same_class(3, 0, 0)
+        complex_.same_class(3, (), ())
 
 
 def test_element_vector_roundtrip():
@@ -172,12 +172,12 @@ def test_element_vector_roundtrip():
     cc = associated_complex(dm)
     x = dm.element([(0, 1), (1, 1)], 1)
     vec = element_vector(dm, x)
-    assert bin(vec).count("1") == 2
-    assert cc.is_cycle_vector(1, 0) and not cc.is_cycle_vector(1, vec)
-    assert cc.boundary_vector(1, vec) != 0
+    assert len(vec) == 2
+    assert cc.is_cycle_vector(1, ()) and not cc.is_cycle_vector(1, vec)
+    assert cc.boundary_vector(1, vec) != ()
     # d then d is zero on every basis vector
     for k in range(cc.dim(2)):
-        assert cc.boundary_vector(1, cc.boundary_vector(2, 1 << k)) == 0
+        assert cc.boundary_vector(1, cc.boundary_vector(2, (k,))) == ()
 
 
 def test_associated_complex_is_shared_per_model():
@@ -274,7 +274,7 @@ def _oracle_stacked_faces(model, q, first_face):
 def _oracle_face_kernel(model, q):
     """Common kernel of d_1 .. d_q."""
     if q == 0:
-        return [1 << c for c in range(len(model.basis(q)))]
+        return [(c,) for c in range(len(model.basis(q)))]
     cols = _oracle_stacked_faces(model, q, 1)
     return reduced_echelon(F2Matrix(len(model.basis(q - 1)) * q, cols).kernel_basis())
 
@@ -287,16 +287,15 @@ def _oracle_normalized_diff(model):
     def d0(q, vec):
         index = {lbl: c for c, lbl in enumerate(labels[q - 1])}
         out = 0
-        for c in bits(vec):
+        for c in vec:
             img = letter_label(model, (FACE, 0), labels[q][c], q)
             if img is not None:
                 out ^= 1 << index[img]
-        return out
+        return tuple(bits(out))
 
     diff = [[()] * len(nbases[0])]
     for q in range(1, model.max_degree + 1):
-        diff.append([tuple(bits(coordinates(d0(q, vec), nbases[q - 1])))
-                     for vec in nbases[q]])
+        diff.append([coordinates(d0(q, vec), nbases[q - 1]) for vec in nbases[q]])
     return diff
 
 
@@ -317,7 +316,7 @@ def _oracle_element_vector(model, x):
     v = 0
     for lbl in x.support:
         v ^= 1 << index[model.label_str(lbl)]
-    return v
+    return tuple(bits(v))
 
 
 @pytest.mark.parametrize(
@@ -388,4 +387,4 @@ def test_label_free_complexes_match_label_oracle(model):
             assert element_vector(model, x) == _oracle_element_vector(model, x)
             if q >= 1:
                 boundary = _oracle_element_vector(model, model.boundary(x))
-                assert assoc.diff[q][c] == tuple(bits(boundary))
+                assert assoc.diff[q][c] == boundary

@@ -147,6 +147,16 @@ def test_unknown_relation():
         check_relation("dwyer-x")
 
 
+@pytest.mark.parametrize(
+    "name", ["dwyer-+1", "dwyer- 1", "dwyer-0_1", "dwyer-01", "recursion-1 ",
+             "dwyer-\u0661", "recursion-0", "dwyer--1", "dwyer-"])
+def test_malformed_orders_are_unknown(name):
+    # an order is ASCII digits with no leading zero, so the result is named
+    # as asked; int() alone would run dwyer-1 or recursion-1 here
+    with pytest.raises(UnknownRelationError):
+        check_relation(name, 2)
+
+
 def test_result_shape():
     result = check_relation("simp0", 4)
     assert isinstance(result, RelationResult)
