@@ -111,10 +111,11 @@ def _check_size(model):
 # `verify` and a `dump-transform` of the shuffle map, a refinement or a
 # defect will build toward, and the most faces a face sum's dump takes.  It
 # admits window 16 (C(16, 8) = 12,870 terms at (8, 8)) and refuses window 18
-# (48,620) and beyond; on a 2-core host window 14 takes about 9 s and
-# 175 MB, window 16 about 50 s and 727 MB.  The refinements D^k have at
+# (48,620) and beyond; on a 2-core host window 14 takes about 6 s and
+# 172 MB, window 16 about 38 s and 708 MB.  The refinements D^k have at
 # least the shuffle map's terms, so the estimate is a lower bound for them;
-# their k + 1 levels D^0 .. D^k are counted against the same budget.
+# their k + 1 levels D^0 .. D^k are counted against the same budget, and so
+# are the delta_i terms of `delta`'s perturbations.
 TERM_BUDGET = 20_000
 
 
@@ -123,6 +124,21 @@ def _check_terms(i: int, j: int):
     TERM_BUDGET terms, before any transform is built."""
     _refuse_over(TERM_BUDGET, ln_binomial(i, j), partial(comb, i + j, i),
                  f"the shuffle map would have {{}} terms at bidegree ({i}, {j})")
+
+
+def _check_perturbations(perturbations: int, i: int):
+    """Refuse more than TERM_BUDGET delta_i terms over the perturbations,
+    before any is drawn: each evaluates delta_i again, C(2i - 1, i - 1)
+    terms, and solves for its class.  The budget admits 6,666 at i = 2 and
+    2,000 at i = 3.  On a 2-core host, 6,666 take 3 s in delta --q 3 --i 2
+    --poly 4 and 14 s in --q 4 --i 2 --poly 4; 2,000 take 11 s in --q 3
+    --i 3 --poly 4.  Where none is checked (i = 1, or a bound below 4) the
+    count is still the most they could cost."""
+    if perturbations:
+        _refuse_over(TERM_BUDGET, log(perturbations) + ln_binomial(i - 1, i),
+                     lambda: perturbations * comb(2 * i - 1, i - 1),
+                     f"--perturbations {perturbations:,} would evaluate up to "
+                     f"{{}} delta_{i} terms")
 
 
 def _emit(text: str, output: str | None):
@@ -231,6 +247,7 @@ def _cmd_delta(args) -> int:
         raise _ConfigError("--perturbations must be >= 0")
     model = algebra_model(q, max_degree, args.poly)
     _check_size(model)
+    _check_perturbations(args.perturbations, i)
     report = delta_report(
         model,
         model.fundamental_class(),

@@ -35,11 +35,15 @@ compare by identity too.
 A word's epi-mono form does not depend on the degree, only whether the
 word reaches it does.  So each word carries its form and its floor: the
 lowest source degree from which the walk neither raises nor lands in the
-zero space.  Both are filled by the word's first ``normalize``; from the
-floor up, ``normalize`` returns the form at once, and below it the walk
-only decides whether the word is defined: if so, it is the zero form.
-No memo is kept per (word, degree), and a word refers to its form but
-never the other way, so no reference cycle is made.
+zero space.  Both come from one rewrite, a fold over the letters from the
+right whose state after any right factor is that factor's form and floor.
+A product ``u * v`` fills both when it is made, continuing the rewrite
+from ``v``'s form and floor over ``u``'s letters alone (``v``'s are filled
+first if it has none); any other word, a suspension say, fills them at its
+first ``normalize``.  From the floor up, ``normalize`` returns the form at
+once, and below it the walk only decides whether the word is defined: if
+so, it is the zero form.  No memo is kept per (word, degree), and a word
+refers to its form but never the other way, so no reference cycle is made.
 """
 
 from __future__ import annotations
@@ -85,13 +89,14 @@ class Word:
     first, and the letter check loops only when some letter has not
     passed it before; a word joins the table only once it is valid.  Every
     call then runs ``__post_init__`` once, an empty hook.  Its factors are
-    never rewritten; ``normalize`` fills its form and floor once.  Copying
-    or unpickling a word returns the shared object.
+    never rewritten; its form and floor are filled once, by ``*`` for a
+    product and otherwise by the first ``normalize``.  Copying or
+    unpickling a word returns the shared object.
     """
 
     factors: tuple[tuple[str, int], ...]
     # Private slots, not constructor fields: the formal normal form and
-    # floor degree (None until the first ``normalize``).
+    # floor degree (None until filled by ``*`` or the first ``normalize``).
     _form: NormalForm | None
     _floor: int
 
@@ -118,8 +123,19 @@ class Word:
         return (Word, (self.factors,))
 
     def __mul__(self, other: "Word") -> "Word":
-        """Composition: ``self`` applied after ``other``."""
-        return Word(self.factors + other.factors)
+        """Composition: ``self`` applied after ``other``.
+
+        A product with no form yet gets its form and floor here, by the
+        rewrite continued over ``self``'s letters from ``other``'s form and
+        floor, which are filled first if ``other`` has none.  So each
+        letter of a product chain is rewritten once, not once per product.
+        """
+        word = Word(self.factors + other.factors)
+        if word._form is None:
+            if other._form is None:
+                _formal_normal_form(other, other.factors)
+            _formal_normal_form(word, self.factors, other._form, other._floor)
+        return word
 
     def suspend(self) -> "Word":
         """Shift every generator index up by one."""
@@ -284,14 +300,26 @@ def is_defined(word: Word, source_degree: int) -> bool:
     return True
 
 
-def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> tuple[NormalForm, int]:
-    """The word's epi-mono form, whatever the degree, and its floor.
+def _formal_normal_form(
+    word: Word, factors: tuple[tuple[str, int], ...],
+    form: NormalForm | None = None, floor: int = 0,
+) -> NormalForm:
+    """Fill ``word``'s epi-mono form, whatever the degree, and its floor, and
+    return the form.  ``word`` is ``factors`` applied after a right factor
+    whose form is ``form`` and floor ``floor``; with no ``form``, after the
+    identity, so ``factors`` are all of the word's letters.
 
     The floor is the lowest source degree m from which ``walk`` neither
     raises nor absorbs.  A letter applied after letters that shift the
     degree by ``offset`` sees degree m + offset: it is in range when
     m >= index - offset, and a face leaves a nonnegative degree when
     m >= -(offset - 1).  The floor is the largest of these, and 0.
+
+    The rewrite is a left fold over the reversed letters whose state after
+    a word is that word's form, its floor and its degree shift, and the
+    shift is the form's degeneracies less its faces (a face that cancels a
+    degeneracy drops one of each).  So a word's form and floor continue
+    from those of any right factor of it, letter by letter.
     """
     # Insertion-based rewriting, one generator at a time from the right.
     # The oriented rules are the simplicial identities:
@@ -300,22 +328,22 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> tuple[NormalFor
     #   d_r s_j = id                 (r == j or r == j+1)
     #   d_r s_j = s_j d_{r-1}        (r > j+1)
     #   d_r d_j = d_j d_{r+1}        (r >= j)
-    degens: list[int] = []  # strictly decreasing as written
-    faces: list[int] = []  # strictly increasing as written
-    floor = offset = 0
+    if form is None:
+        degens: list[int] = []  # strictly decreasing as written
+        faces: list[int] = []  # strictly increasing as written
+    else:
+        degens, faces = list(form.degeneracies), list(form.faces)
+    offset = len(degens) - len(faces)
     for kind, r in reversed(factors):
         if r - offset > floor:
             floor = r - offset
         if kind == DEGENERACY:
             offset += 1
-            out: list[int] = []
             k = 0
             while k < len(degens) and r <= degens[k]:
-                out.append(degens[k] + 1)
+                degens[k] += 1
                 k += 1
-            out.append(r)
-            out.extend(degens[k:])
-            degens = out
+            degens.insert(k, r)
         else:
             offset -= 1
             if -offset > floor:
@@ -335,30 +363,28 @@ def _formal_normal_form(factors: tuple[tuple[str, int], ...]) -> tuple[NormalFor
                     r -= 1
                     pos += 1
             if alive:
-                out = []
                 k = 0
                 while k < len(faces) and r >= faces[k]:
-                    out.append(faces[k])
                     r += 1
                     k += 1
-                out.append(r)
-                out.extend(faces[k:])
-                faces = out
-    return NormalForm(tuple(degens), tuple(faces)), floor
+                faces.insert(k, r)
+    form = NormalForm(tuple(degens), tuple(faces))
+    object.__setattr__(word, "_form", form)
+    object.__setattr__(word, "_floor", floor)
+    return form
 
 
 def normalize(word: Word, source_degree: int) -> NormalForm:
     """Normal form of the word's action on the given source degree.
 
     Raises OutOfRangeError when the word is not defined there.  From the
-    word's floor up this is the word's form.  Below it the walk either
-    raises or absorbs, by the floor's definition, so the form is zero.
+    word's floor up this is the word's form, filled here unless ``*`` or
+    an earlier call filled it.  Below the floor the walk either raises or
+    absorbs, by the floor's definition, so the form is zero.
     """
     form = word._form
     if form is None:
-        form, floor = _formal_normal_form(word.factors)
-        object.__setattr__(word, "_form", form)
-        object.__setattr__(word, "_floor", floor)
+        form = _formal_normal_form(word, word.factors)
     if source_degree >= word._floor:
         return form
     walk(word.factors, source_degree)

@@ -44,6 +44,7 @@ FIRST_WITNESS = "tests/test_relations.py::test_parts_add_up_and_the_first_failur
 DENSE_ORACLE = "tests/test_gf2.py::test_sparse_elimination_matches_the_dense_oracle"
 NONZERO_DRAWS = "tests/test_operations.py::test_every_drawn_perturbation_moves_the_input"
 SMALL_MATRIX = "tests/test_gf2.py::test_small_matrix"
+PRODUCT_FORMS = "tests/test_words.py::test_a_product_continues_its_right_operand_form"
 
 MUTANTS = [
     # the catalog as one table: every part's cases count, the first
@@ -373,6 +374,23 @@ def _pivots(columns) -> dict:
         "if not _LETTERS.issuperset(factors):",
         "if False:",
         ("tests/test_words.py::test_a_rejected_word_is_never_registered",)),
+    # a product's form and floor continue its right operand's rewrite
+    Mutant(
+        "resume-from-floor-0", "words.py",
+        "_formal_normal_form(word, self.factors, other._form, other._floor)",
+        "_formal_normal_form(word, self.factors, other._form, 0)",
+        (PRODUCT_FORMS,)),
+    Mutant(
+        "resume-with-offset-0", "words.py",
+        "    offset = len(degens) - len(faces)\n",
+        "    offset = 0\n",
+        (PRODUCT_FORMS,)),
+    # more perturbations than the term budget are refused before any is drawn
+    Mutant(
+        "perturbation-guard-off", "cli.py",
+        "    _check_perturbations(args.perturbations, i)\n",
+        "",
+        ("tests/test_cli.py::test_unbounded_perturbations_exit_2_at_once",)),
     Mutant(
         "form-below-the-floor", "words.py",
         """    walk(word.factors, source_degree)

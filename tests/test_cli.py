@@ -57,6 +57,14 @@ def test_verify_all_json_golden(capsys):
     assert out.encode() == (GOLDEN / "verify_all_6.json").read_bytes()
 
 
+def test_verify_all_window_10_json_golden(capsys):
+    # every relation's case count at window 10, recursion composites included
+    code, out, err = run(capsys, "verify", "all", "--max-total", "10", "--max-k", "4",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / "verify_all_10.json").read_bytes()
+
+
 def test_verify_json_and_csv(capsys):
     code, out, _ = run(
         capsys, "verify", "dwyer", "--max-total", "6", "--max-k", "2",
@@ -705,6 +713,36 @@ def test_oversized_window_exits_2_at_once(capsys, argv, size):
     assert code == 2
     assert out == ""
     assert size in err and f"budget of {cli.TERM_BUDGET:,}" in err
+
+
+def test_unbounded_perturbations_exit_2_at_once(capsys, monkeypatch):
+    def no_report(*args, **kwargs):
+        raise AssertionError("the delta report was started")
+
+    monkeypatch.setattr(cli, "delta_report", no_report)
+    t0 = perf_counter()
+    code, out, err = run(capsys, "delta", "--q", "3", "--i", "2", "--poly", "4",
+                         "--perturbations", "100000000")
+    assert perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert ("--perturbations 100,000,000 would evaluate up to 300,000,000 "
+            f"delta_2 terms, over the budget of {cli.TERM_BUDGET:,}") in err
+
+
+@pytest.mark.parametrize("perturbations, i, admitted", [
+    (6_666, 2, True),   # 3 terms each
+    (6_667, 2, False),
+    (2_000, 3, True),   # 10 terms each
+    (2_001, 3, False),
+    (20_000, 1, True),  # 1 term each
+])
+def test_term_budget_bounds_the_perturbations(perturbations, i, admitted):
+    if admitted:
+        cli._check_perturbations(perturbations, i)
+    else:
+        with pytest.raises(cli._ConfigError, match="delta_"):
+            cli._check_perturbations(perturbations, i)
 
 
 @pytest.mark.parametrize("window, terms, admitted", [

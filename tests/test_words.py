@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from normalize_oracle import oracle_floor, oracle_normalize
+from normalize_oracle import formal_normal_form, oracle_floor, oracle_normalize
 from simpdelta import cli, words
 from simpdelta.words import (
     IDENTITY,
@@ -339,6 +339,42 @@ def test_normalize_matches_the_oracle_at_every_degree():
         if floor:
             with contextlib.suppress(OutOfRangeError):
                 assert normalize(w, floor - 1) is ZERO_FORM
+
+
+def _oracle_top(w):
+    return len(w.factors) + max((r for _, r in w.factors), default=0)
+
+
+def test_a_product_continues_its_right_operand_form():
+    # seeded pairs; half the right operands are normalized first, so the
+    # product resumes from a stored form and floor, and the other half
+    # from the ones it fills on the operand
+    rng = random.Random(20131)
+    fresh = 0
+    for n in range(3000):
+        u, v = _random_word(rng), _random_word(rng)
+        if n % 2:
+            with contextlib.suppress(OutOfRangeError):
+                normalize(v, rng.randrange(_oracle_top(v) + 2))
+        fresh += Word(u.factors + v.factors)._form is None
+        w = u * v
+        assert v._form is formal_normal_form(v.factors)
+        assert v._floor == oracle_floor(v, _oracle_top(v))
+        assert w._form is formal_normal_form(w.factors)
+        assert w._floor == oracle_floor(w, _oracle_top(w))
+    assert fresh > 2500
+
+
+def test_every_form_of_a_sweep_is_the_oracle_form():
+    # a window-10 sweep fills forms at product time and at normalize; every
+    # word it leaves with a form holds the rewrite's form and floor
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "dwyer", "--max-total", "10"]) == 0
+    formed = [w for w in words._WORDS.values() if w._form is not None]
+    assert len(formed) > 20_000
+    for w in formed:
+        assert w._form is formal_normal_form(w.factors)
+        assert w._floor == oracle_floor(w, _oracle_top(w))
 
 
 def test_suspension_commutes_with_normalize_on_the_sweep_words():
