@@ -2,12 +2,15 @@
 
 Each mutant names a file under ``src/simpdelta``, an exact text in it, the
 text that replaces it, and the test node ids that must fail once it does.
-The runner copies ``src/`` and ``tests/`` into a temporary directory and
-first requires the unmutated copy to pass every listed node id.  Then it
-applies each mutant alone and runs only that mutant's node ids: a run must
-end with a failing test (pytest exit 1).  An old text that does not occur
-exactly once fails the runner, so a change to mutated code updates or
-retires its mutant in the same change.
+The runner makes one copy of ``src/`` and ``tests/`` per CPU in a temporary
+directory and first requires an unmutated copy to pass every listed node
+id.  Then each worker takes a free copy, applies one mutant alone, runs only
+that mutant's node ids, and puts the copy back: a run must end with a
+failing test (pytest exit 1).  Results print in the order of ``MUTANTS``.
+Bytecode is never written, so no run reads a ``.pyc`` left by another
+mutation of the same file.  An old text that does not occur exactly once
+fails the runner, so a change to mutated code updates or retires its
+mutant in the same change.
 
 pytest does not collect this file.  Run it from anywhere:
 
@@ -17,11 +20,14 @@ pytest does not collect this file.  Run it from anywhere:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,6 +51,7 @@ DENSE_ORACLE = "tests/test_gf2.py::test_sparse_elimination_matches_the_dense_ora
 NONZERO_DRAWS = "tests/test_operations.py::test_every_drawn_perturbation_moves_the_input"
 SMALL_MATRIX = "tests/test_gf2.py::test_small_matrix"
 PRODUCT_FORMS = "tests/test_words.py::test_a_product_continues_its_right_operand_form"
+FAILED_WRITE = "tests/test_cli.py::test_a_failed_write_to_stdout_exits_2"
 
 MUTANTS = [
     # the catalog as one table: every part's cases count, the first
@@ -398,57 +405,104 @@ def _pivots(columns) -> dict:
         """    walk(word.factors, source_degree)
     return form""",
         ("tests/test_words.py::test_normalize_matches_the_oracle_at_every_degree",)),
+    # the command freezes its heap once main returns, and a failed write to
+    # stdout is one error line and exit 2
+    Mutant(
+        "exit-freeze-off", "cli.py",
+        "    gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::test_the_command_freezes_its_heap_before_it_exits[exit-0]",)),
+    Mutant(
+        "stdout-write-unchecked", "cli.py",
+        """        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _ConfigError(f"cannot write stdout: {exc.strerror}") from exc
+        return""",
+        """        sys.stdout.write(text)
+        return""",
+        (f"{FAILED_WRITE}[verify-buffered]",)),
+    Mutant(
+        "exit-flush-unguarded", "cli.py",
+        """    try:
+        sys.stdout.flush()
+    except OSError:""",
+        """    if False:""",
+        (f"{FAILED_WRITE}[homology-buffered]",)),
 ]
 
 
 def _pytest(root: Path, tests) -> tuple[int, str]:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # With no bytecode written, pytest would rewrite the asserts of every
+    # module of an autoloaded plugin's package again on each run, about a
+    # second for hypothesis; the plugin loaded by name is one module.
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-p", "_hypothesis_pytestplugin", *tests],
         cwd=root, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
 
+def _copy(repo: Path, root: Path):
+    for name in ("src", "tests"):
+        shutil.copytree(repo / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(repo / "pyproject.toml", root)
+
+
+def _run(roots: queue.SimpleQueue, m: Mutant) -> tuple[bool, str]:
+    """Apply ``m`` alone in a free copy, run its tests, and put the copy
+    back as it was: whether it was killed, and the lines to print."""
+    root = roots.get()
+    try:
+        path = root / "src" / "simpdelta" / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return False, (f"{m.name}: its old text occurs {text.count(m.old)} "
+                           f"times in {m.file}, not once")
+        path.write_text(text.replace(m.old, m.new))
+        start = time.perf_counter()
+        try:
+            code, log = _pytest(root, m.tests)
+        finally:
+            path.write_text(text)
+    finally:
+        roots.put(root)
+    took = time.perf_counter() - start
+    if code == 1:
+        return True, f"{m.name}: killed ({took:.1f} s)"
+    return False, (f"{log}\n{m.name}: "
+                   f"{'survived' if code == 0 else f'pytest exit {code}'} ({took:.1f} s)")
+
+
 def main() -> int:
     repo = Path(__file__).resolve().parent.parent
+    workers = os.cpu_count() or 1
     failures = []
+    begin = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        shutil.copytree(repo / "src", root / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(repo / "tests", root / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(repo / "pyproject.toml", root)
+        roots = queue.SimpleQueue()
+        for w in range(workers):
+            _copy(repo, Path(tmp) / str(w))
+            roots.put(Path(tmp) / str(w))
         start = time.perf_counter()
-        code, log = _pytest(root, sorted({t for m in MUTANTS for t in m.tests}))
+        code, log = _pytest(Path(tmp) / "0",
+                            sorted({t for m in MUTANTS for t in m.tests}))
         if code != 0:
             print(log)
             print(f"the unmutated copy must pass every listed test; pytest exit {code}")
             return 1
         print(f"unmutated: passed ({time.perf_counter() - start:.1f} s)")
-        for m in MUTANTS:
-            path = root / "src" / "simpdelta" / m.file
-            text = path.read_text()
-            if text.count(m.old) != 1:
-                failures.append(m.name)
-                print(f"{m.name}: its old text occurs {text.count(m.old)} times "
-                      f"in {m.file}, not once")
-                continue
-            path.write_text(text.replace(m.old, m.new))
-            start = time.perf_counter()
-            try:
-                code, log = _pytest(root, m.tests)
-            finally:
-                path.write_text(text)
-            took = time.perf_counter() - start
-            if code == 1:
-                print(f"{m.name}: killed ({took:.1f} s)")
-            else:
-                failures.append(m.name)
-                print(log)
-                print(f"{m.name}: {'survived' if code == 0 else f'pytest exit {code}'}"
-                      f" ({took:.1f} s)")
-    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+        with ThreadPoolExecutor(workers) as pool:
+            for m, (killed, lines) in zip(MUTANTS, pool.map(partial(_run, roots), MUTANTS)):
+                print(lines, flush=True)
+                if not killed:
+                    failures.append(m.name)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed "
+          f"on {workers} workers in {time.perf_counter() - begin:.1f} s")
     return 1 if failures else 0
 
 

@@ -1,9 +1,13 @@
-"""Command-line entry points, driven in-process through main()."""
+"""Command-line entry points, driven in-process through main(), and the
+command itself (entry) in a few child processes."""
 
+import errno
 import gc
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 from functools import partial
 from time import perf_counter
@@ -441,8 +445,72 @@ def test_the_command_keeps_the_collector_off_to_its_exit(capsys, monkeypatch):
         assert info.value.code == 0
         assert not gc.isenabled()
     finally:
+        gc.unfreeze()
         gc.enable()
     assert capsys.readouterr().out.endswith("relations passed on window max_total=2\n")
+
+
+def spawn(*args, stdout=subprocess.PIPE, buffered=True):
+    """Run ``python *args`` on this package's sources, with
+    PYTHONUNBUFFERED set only when not ``buffered``."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+# the command, with an exit hook that prints how many objects are frozen;
+# "fail" makes every checked relation fail
+FREEZE_COUNT = """
+import atexit, gc, sys
+from simpdelta import cli
+from simpdelta.relations import RelationResult
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+if sys.argv[1] == "fail":
+    cli.check_relation = lambda name, max_total: RelationResult(name, "", 1, False, "w")
+sys.argv = ["simpdelta", *sys.argv[2:]]
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ("verify", "simp", "--max-total", "4")),
+    (1, ("verify", "simp", "--max-total", "4")),
+    (2, ("verify", "dwyer", "--max-total", "2", "--max-k", "4")),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_the_command_freezes_its_heap_before_it_exits(capsys, monkeypatch, code, argv):
+    # frozen objects are skipped by the collection that interpreter exit
+    # runs even with the collector off; main itself freezes nothing
+    if code == 1:
+        monkeypatch.setattr(cli, "check_relation", lambda name, max_total:
+                            RelationResult(name, "", 1, False, "w"))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert gc.get_freeze_count() == 0
+    proc = spawn("-c", FREEZE_COUNT, "fail" if code == 1 else "pass", *argv)
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr.startswith(err)
+    frozen = proc.stderr[len(err):]
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "simp", "--max-total", "4"),
+    ("delta", "--q", "2", "--i", "2", "--perturbations", "0"),
+    ("homology", "--n", "1", "--max-degree", "2"),
+], ids=["verify", "delta", "homology"])
+def test_a_failed_write_to_stdout_exits_2(argv, buffered):
+    # one error line, with no traceback, and no second one when the
+    # interpreter flushes stdout at exit
+    with open("/dev/full", "w") as full:
+        proc = spawn("-m", "simpdelta.cli", *argv, stdout=full, buffered=buffered)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_no_subcommand(capsys):
