@@ -5,10 +5,11 @@ output.  Exit codes: 0 success, 1 a checked relation failed, 2 bad
 configuration, a model or a window over its size budget, or an output
 file or stdout that cannot be written.
 
-Size guard: each budget below is checked against a closed form in log
-space (``Model.ln_dimension``, ``models.ln_binomial``) before anything is
-built, and one function, ``_refuse_over``, refuses it with exit 2 and the
-count: exact below 10^30, else its order of magnitude.
+Size guard: each budget below is checked against a closed form in exact
+integers (``Model.dimension``, ``models.binomial``) before anything is
+built, counted only up to a cap of 10^4000, and one function,
+``_refuse_over``, refuses it with exit 2 and the count: exact below 10^30,
+else its order of magnitude, and past the cap "more than 10^4000".
 
 ``main`` runs each subcommand with Python's cyclic garbage collector
 paused, and restores the caller's setting when it returns.  Words, normal
@@ -38,12 +39,12 @@ import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from functools import partial
-from math import comb, floor, inf, log
 
 from .homology import associated_complex, normalized_complex
-from .models import (_EXACT_LN, algebra_model, boundary_delta_model, delta_model,
-                     ln_binomial, sphere_model)
+from .models import (algebra_model, binomial, boundary_delta_model, delta_model,
+                     sphere_model)
 from .operations import delta_report
 from .relations import FAMILIES, check_relation, relation_names
 from .transforms import (
@@ -68,20 +69,26 @@ class _ConfigError(Exception):
     pass
 
 
-def _refuse_over(budget: int, ln: float, exact, what: str):
-    """Refuse a count over ``budget`` whose natural log is ``ln``, with
-    ``what``, the message with ``{}`` where the count goes.  The exact count
-    ``exact()`` is built only when ``ln`` puts it below 4,000 digits, where
-    ``ln_binomial`` builds it too.  It is shown below 10^30, and above as
-    the order of magnitude read off its digits; past 4,000 digits the
-    message shows the order of magnitude from ``ln``."""
-    if ln < _EXACT_LN:
-        size = exact()
-        if size <= budget:
-            return
-        text = f"{size:,}" if size < 10**30 else f"about 10^{len(str(size)) - 1}"
+# Every guarded count is decided up to this cap, past any budget: a count
+# over it is never built whole, and is refused as "more than 10^4000".
+SIZE_CAP = 10**4000
+
+
+def _refuse_over(budget: int, count, what: str):
+    """Refuse ``count(SIZE_CAP)`` when it is over ``budget``, with ``what``,
+    the message with ``{}`` where the count goes.  ``count(cap)`` is exact
+    when at most ``cap``, and otherwise some value in (cap, exact], as for
+    ``Model.dimension``.  It is shown below 10^30, above as the order of
+    magnitude read off its digits, and past the cap as that bound."""
+    size = count(SIZE_CAP)
+    if size <= budget:
+        return
+    if size > SIZE_CAP:
+        text = "more than 10^4000"
+    elif size < 10**30:
+        text = f"{size:,}"
     else:
-        text = f"about 10^{floor(ln / log(10))}" if ln < inf else "more than 10^308"
+        text = f"about 10^{len(str(size)) - 1}"
     raise _ConfigError(f"{what.format(text)}, over the budget of {budget:,}")
 
 
@@ -101,13 +108,12 @@ WORK_BUDGET = 500_000_000
 
 def _check_size(model):
     """Refuse a model whose top-degree basis is over BASIS_BUDGET, or whose
-    work is over WORK_BUDGET, from its dimension in log space."""
+    work is over WORK_BUDGET, from its closed-form dimension."""
     top, span = model.max_degree, model.max_degree + 1 + model.poly_bound
-    ln = model.ln_dimension(top)
-    _refuse_over(BASIS_BUDGET, ln, partial(model.dimension, top),
+    dimension = partial(model.dimension, top)
+    _refuse_over(BASIS_BUDGET, dimension,
                  f"{model.name} would have {{}} basis elements in degree {top}")
-    _refuse_over(WORK_BUDGET, 2 * log(top + 1) + ln + log(span),
-                 lambda: (top + 1) ** 2 * model.dimension(top) * span,
+    _refuse_over(WORK_BUDGET, lambda cap: (top + 1) ** 2 * dimension(cap) * span,
                  f"{model.name} would take {{}} steps up to degree {top}")
 
 
@@ -126,7 +132,7 @@ TERM_BUDGET = 20_000
 def _check_terms(i: int, j: int):
     """Refuse bidegree (i, j) when the shuffle map there has more than
     TERM_BUDGET terms, before any transform is built."""
-    _refuse_over(TERM_BUDGET, ln_binomial(i, j), partial(comb, i + j, i),
+    _refuse_over(TERM_BUDGET, partial(binomial, i + j, i),
                  f"the shuffle map would have {{}} terms at bidegree ({i}, {j})")
 
 
@@ -139,8 +145,8 @@ def _check_perturbations(perturbations: int, i: int):
     --i 3 --poly 4.  Where none is checked (i = 1, or a bound below 4) the
     count is still the most they could cost."""
     if perturbations:
-        _refuse_over(TERM_BUDGET, log(perturbations) + ln_binomial(i - 1, i),
-                     lambda: perturbations * comb(2 * i - 1, i - 1),
+        _refuse_over(TERM_BUDGET,
+                     lambda cap: perturbations * binomial(2 * i - 1, i - 1, cap),
                      f"--perturbations {perturbations:,} would evaluate up to "
                      f"{{}} delta_{i} terms")
 
@@ -408,11 +414,11 @@ def _cmd_dump(args) -> int:
     faces = {"boundary-left": args.i, "boundary-right": args.j,
              "diagonal-faces": min(args.i, args.j)}.get(args.name)
     if faces is not None:
-        _refuse_over(TERM_BUDGET, log(faces + 1), lambda: faces + 1,
+        _refuse_over(TERM_BUDGET, lambda cap: faces + 1,
                      f"{args.name} would have {{}} terms at bidegree "
                      f"({args.i}, {args.j})")
     if args.name in ("refinement", "defect"):
-        _refuse_over(TERM_BUDGET, log(args.k + 1), lambda: args.k + 1,
+        _refuse_over(TERM_BUDGET, lambda cap: args.k + 1,
                      f"the refinements D^0 .. D^{args.k} would be {{}} levels")
     transform: EMTransform = build()
     _emit(_json_text(dump_bidegree(transform, args.i, args.j, args.reduced)), args.output)
@@ -483,10 +489,14 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        try:
+            # argparse would swallow a failed write of its help text
+            help_text = io.StringIO()
+            try:
+                with redirect_stdout(help_text):
+                    args = parser.parse_args(argv)
+            except SystemExit as exc:
+                _emit(help_text.getvalue(), None)
+                return int(exc.code or 0)
             _check_output_dir(args.output)
             return args.handler(args)
         except _ConfigError as exc:

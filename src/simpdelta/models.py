@@ -37,9 +37,9 @@ Faces are algebra maps, so the algebra builds its lists without gathering
 a label: the face of a monomial is the face of its prefix times the face
 of its last factor, read from the sphere's lists and from a table of
 degree-(q-1) products by one generator.  ``Model.dimension`` gives each
-basis size from a closed form, and ``Model.ln_dimension`` its log from the
-same form (``ln_binomial``), so a size can be checked before anything is
-built.
+basis size from one closed form in exact integers (``binomial``), so a size
+can be checked before anything is built; with a cap it stops once the count
+is past the cap.
 
 Truncation is never silent: a degeneracy pushing past ``max_degree`` or a
 product exceeding the polynomial bound raises TruncationOverflowError
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations_with_replacement, repeat, takewhile
-from math import comb, exp, expm1, inf, lgamma, log, log1p
 from operator import getitem, itemgetter, sub
 
 from .gf2 import mod2
@@ -85,34 +84,23 @@ class F2Element:
         return len(self.support)
 
 
-# A binomial below 4,000 digits is built and its log taken exactly:
-# ``math.comb`` takes milliseconds there and seconds past some ten thousand.
-_EXACT_LN = 4000 * log(10)
+def binomial(n: int, k: int, cap: int | None = None) -> int:
+    """C(n, k), 0 for k < 0 or k > n.  With a cap: C(n, k) itself when it is
+    at most ``cap``, and otherwise some value in (cap, C(n, k)].
 
-
-def ln_binomial(k: int, m: int | None, ln_m: float | None = None) -> float:
-    """ln C(m + k, k) for integers k, m >= 0 of any size.  ``ln_m``, if
-    given, is ln m, and stands alone for an m too large to build (None).
-
-    Below 4,000 digits it is the log of ``math.comb``.  Above, with K <= M
-    the two arguments, it is Stirling's series, ln Γ(x + 1) = (x + 1/2) ln x
-    - x + ln(2π)/2 + 1/(12x) - ..., for (M + K)! and M!, and ``lgamma`` for
-    K!, off by under 1/(360 M^3) with M > 6,000.  For M past the float range
-    x = K/M rounds to 0, where log1p(x)/x -> 1; for K ln K past it, inf.
+    The running product over i = 1 .. min(k, n - k), with m the larger of
+    k and n - k, is C(m + i, i): a binomial at every step, growing at least
+    twofold, so with a cap the loop stops at the first partial over it,
+    within log2(cap) + 1 steps, and no huge count is built.
     """
-    ln_k = log(k) if k else -inf
-    if ln_m is None:
-        ln_m = log(m) if m else -inf
-    ln_k, ln_m = sorted((ln_k, ln_m))
-    if ln_k == -inf:
-        return 0.0
-    if ln_k > 700:
-        return inf
-    small, x, e = exp(ln_k), exp(ln_k - ln_m), exp(-ln_m)
-    ln = (small * (log1p(x) / x if x else 1.0) * (1 + e / 2)
-          + small * (ln_m + log1p(x)) - small - lgamma(small + 1)
-          - e * x / (12 * (1 + x)))
-    return log(comb(m + k, k)) if m is not None and ln < _EXACT_LN else ln
+    if not 0 <= k <= n:
+        return 0
+    m, c = max(k, n - k), 1
+    for i in range(1, n - m + 1):
+        c = c * (m + i) // i
+        if cap is not None and c > cap:
+            break
+    return c
 
 
 def theta_map(theta: tuple):
@@ -146,12 +134,10 @@ class Model:
     def basis(self, degree: int) -> tuple:
         raise NotImplementedError
 
-    def dimension(self, degree: int) -> int:
-        """``len(self.basis(degree))`` from a closed form, building nothing."""
-        raise NotImplementedError
-
-    def ln_dimension(self, degree: int) -> float:
-        """ln ``dimension(degree)`` from the same closed form, -inf for 0."""
+    def dimension(self, degree: int, cap: int | None = None) -> int:
+        """``len(self.basis(degree))`` from a closed form, building nothing.
+        With a cap, as for ``binomial``: the count when it is at most
+        ``cap``, and otherwise some value in (cap, count]."""
         raise NotImplementedError
 
     def faces(self, q: int) -> tuple:
@@ -333,11 +319,8 @@ class DeltaModel(ModuleModel):
     def _member(self, label):
         return True
 
-    def dimension(self, degree):
-        return comb(self.n + degree + 1, degree + 1) if degree >= 0 else 0
-
-    def ln_dimension(self, degree):
-        return ln_binomial(degree + 1, self.n) if degree >= 0 else -inf
+    def dimension(self, degree, cap=None):
+        return binomial(self.n + degree + 1, degree + 1, cap) if degree >= 0 else 0
 
 
 class BoundaryDeltaModel(ModuleModel):
@@ -350,31 +333,16 @@ class BoundaryDeltaModel(ModuleModel):
     def _member(self, label):
         return len(set(label)) < self.n + 1
 
-    def dimension(self, degree):
+    def dimension(self, degree, cap=None):
         if degree < 0:
             return 0
-        return comb(self.n + degree + 1, degree + 1) - comb(degree, self.n)
-
-    def ln_dimension(self, degree):
-        # Delta(n)'s count less the sphere's, by their ratio.  Far past n^2
-        # the two agree to many places and their logs cancel, so there it
-        # is inclusion-exclusion to three terms: the labels missing one
-        # vertex, n + 1 times C(n + degree, n - 1), less those missing two,
-        # a share r = n(n - 1) / (2(n + degree)) of the first, plus those
-        # missing three, a share r2 = (n - 1)(n - 2) / (3(n + degree - 1))
-        # of the second (none when r = 0, at n = 1); the fourth term is
-        # under r^3 / 3, so r <= 10^-3 keeps it below 10^-9
-        n = self.n
-        if degree < 0 or n == 0:
-            return -inf
-        if 10**3 * n * (n - 1) <= 2 * (n + degree):
-            r = n * (n - 1) / (2 * (n + degree))
-            r2 = (n - 1) * (n - 2) / (3 * (n + degree - 1)) if r else 0.0
-            return (log(n + 1) + ln_binomial(n - 1, degree + 1)
-                    + log1p(-r * (1 - r2)))
-        whole = ln_binomial(degree + 1, n)
-        gap = -expm1((ln_binomial(n, degree - n) if degree >= n else -inf) - whole)
-        return whole + log(gap)
+        # Delta(n)'s labels less the sphere's; those missing vertex 0 are
+        # some of them, a lower bound that settles a cap it passes
+        missing_0 = binomial(self.n + degree, degree + 1, cap)
+        if cap is not None and missing_0 > cap:
+            return missing_0
+        return (binomial(self.n + degree + 1, degree + 1)
+                - binomial(degree, self.n))
 
 
 class SphereModel(ModuleModel):
@@ -392,11 +360,8 @@ class SphereModel(ModuleModel):
     def _member(self, label):
         return len(set(label)) == self.n + 1
 
-    def dimension(self, degree):
-        return comb(degree, self.n) if degree >= 0 else 0
-
-    def ln_dimension(self, degree):
-        return ln_binomial(self.n, degree - self.n) if degree >= self.n else -inf
+    def dimension(self, degree, cap=None):
+        return binomial(degree, self.n, cap)
 
     def fundamental_class(self) -> F2Element:
         return self.element([tuple(range(self.n + 1))], self.n)
@@ -442,19 +407,14 @@ class AlgebraModel(Model):
             self._basis[degree] = tuple(monos)
         return self._basis[degree]
 
-    def dimension(self, degree):
+    def dimension(self, degree, cap=None):
         if degree < 0:
             return 0
         # monomials of polynomial degree <= P in s generators: the hockey
-        # stick sum of C(s + p - 1, p) over p <= P
-        return comb(self.underlying.dimension(degree) + self.poly_bound,
-                    self.poly_bound)
-
-    def ln_dimension(self, degree):
-        # the sphere count s is built only where ln_binomial would build it
-        ln_s = self.underlying.ln_dimension(degree)
-        s = self.underlying.dimension(degree) if ln_s < _EXACT_LN else None
-        return ln_binomial(self.poly_bound, s, ln_s) if degree >= 0 else -inf
+        # stick sum of C(s + p - 1, p) over p <= P; an s over the cap
+        # leaves C(s + P, P) >= s + P over it too
+        s = self.underlying.dimension(degree, cap)
+        return binomial(s + self.poly_bound, self.poly_bound, cap)
 
     def monomial_indices(self, degree: int):
         """``basis(degree)`` with each factor replaced by its sphere index.

@@ -41,7 +41,6 @@ class Mutant(NamedTuple):
 
 
 PER_WORD_CALLS = "tests/test_models.py::test_evaluate_em_makes_the_per_word_calls"
-BOUNDARY_SWITCH = "tests/test_cli.py::test_boundary_estimate_near_its_switch_is_the_log_of_its_count"
 FACE_ROWS = "tests/test_homology.py::test_face_rows_match_label_oracle"
 KEEPING = "tests/test_transforms.py::test_derived_transforms_keep_no_terms_and_kept_ones_do"
 NO_RULE_TWICE = "tests/test_transforms.py::test_no_rule_runs_twice_at_one_bidegree_in_one_relation"
@@ -76,18 +75,24 @@ MUTANTS = [
         "if str(k) != digits or k < lo:",
         "if k < lo:",
         ("tests/test_relations.py::test_malformed_orders_are_unknown",)),
-    # the refused count's order of magnitude, read off its digits
+    # the refused count's order of magnitude, read off its digits, and the
+    # capped counts: exact up to the cap, and past it over the cap but
+    # never over the count
     Mutant(
-        "order-of-magnitude-from-the-log", "cli.py",
-        'else f"about 10^{len(str(size)) - 1}"',
-        'else f"about 10^{floor(ln / log(10))}"',
+        "order-of-magnitude-off-by-one", "cli.py",
+        'f"about 10^{len(str(size)) - 1}"',
+        'f"about 10^{len(str(size))}"',
         ("tests/test_cli.py::test_module_estimate_is_the_exact_count_text",)),
     Mutant(
-        "boundary-count-first-term-only", "models.py",
-        """            return (log(n + 1) + ln_binomial(n - 1, degree + 1)
-                    + log1p(-r * (1 - r2)))""",
-        """            return log(n + 1) + ln_binomial(n - 1, degree + 1)""",
-        (BOUNDARY_SWITCH,)),
+        "binomial-stops-at-the-cap", "models.py",
+        "if cap is not None and c > cap:",
+        "if cap is not None and c >= cap:",
+        ("tests/test_models.py::test_capped_binomial_is_math_comb",)),
+    Mutant(
+        "boundary-bound-is-the-whole-count", "models.py",
+        "missing_0 = binomial(self.n + degree, degree + 1, cap)",
+        "missing_0 = binomial(self.n + degree + 1, degree + 1, cap)",
+        ("tests/test_models.py::test_ln_dimension_is_the_log_of_the_dimension[1-1-boundary_delta_model]",)),
     Mutant(
         "anchored-pairs-reversed", "operations.py",
         "return [((q - i,) + mu, nu) for mu, nu in shuffles(rest, i - 1)]",
@@ -116,22 +121,6 @@ MUTANTS = [
         "                if wl in limages:",
         "                if False:",
         (PER_WORD_CALLS,)),
-    # the boundary model's dimension in log space
-    Mutant(
-        "boundary-count-two-terms-only", "models.py",
-        "log1p(-r * (1 - r2))",
-        "log1p(-r)",
-        (BOUNDARY_SWITCH,)),
-    Mutant(
-        "boundary-count-switch-at-1e-4", "models.py",
-        "if 10**3 * n * (n - 1) <= 2 * (n + degree):",
-        "if 10**4 * n * (n - 1) <= 2 * (n + degree):",
-        (BOUNDARY_SWITCH,)),
-    Mutant(
-        "boundary-count-switch-at-1e-2", "models.py",
-        "if 10**3 * n * (n - 1) <= 2 * (n + degree):",
-        "if 10**2 * n * (n - 1) <= 2 * (n + degree):",
-        ("tests/test_cli.py::test_boundary_estimate_at_a_share_of_one_hundredth_is_the_log_of_its_count",)),
     # face tables
     Mutant(
         "module-faces-in-reverse-order", "models.py",
@@ -430,6 +419,11 @@ def _pivots(columns) -> dict:
     except OSError:""",
         """    if False:""",
         (f"{FAILED_WRITE}[homology-buffered]",)),
+    Mutant(
+        "help-text-unchecked", "cli.py",
+        "_emit(help_text.getvalue(), None)",
+        "sys.stdout.write(help_text.getvalue())",
+        (f"{FAILED_WRITE}[help-buffered]",)),
 ]
 
 

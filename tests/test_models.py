@@ -9,6 +9,7 @@ import json
 import math
 import pathlib
 from collections import Counter
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -24,10 +25,10 @@ from simpdelta.models import (
     TensorElement,
     TruncationOverflowError,
     algebra_model,
+    binomial,
     boundary_delta_model,
     delta_model,
     evaluate_em,
-    ln_binomial,
     sphere_model,
     tensor,
 )
@@ -101,12 +102,27 @@ def test_closed_form_dimension_builds_nothing():
     assert am._basis == {} and am.underlying._basis == {}
 
 
-# From the empty boundary of Delta(0) through degrees far past n^2, where
-# the boundary's count is the first three terms of inclusion-exclusion
-# (from degree 44,990 on for n = 10; at degree 4,500 three terms would be
-# off by 1.7e-7, and two by 7e-5), to counts on both sides of the 4,000
-# digits past which ln_binomial stops building the binomial and takes
-# Stirling's series.
+def check_capped(count, exact, caps):
+    """``count(cap)`` is ``exact`` for no cap and every cap at or over it,
+    and in (cap, exact] for every cap below it."""
+    assert count(None) == exact
+    for cap in caps:
+        got = count(cap)
+        assert got == exact if exact <= cap else cap < got <= exact, cap
+
+
+# each module model's count in degree d, by math.comb
+MODULE_COUNTS = {
+    delta_model: lambda n, d: math.comb(n + d + 1, d + 1),
+    boundary_delta_model: lambda n, d: math.comb(n + d + 1, d + 1) - math.comb(d, n),
+    sphere_model: lambda n, d: math.comb(d, n),
+}
+
+
+# From the empty boundary of Delta(0) to degrees far past n^2, and counts on
+# both sides of the 10^4000 past which a refusal shows a bound. The grids keep
+# the names of the log-space estimates they first checked, so their ids stay
+# the same; each case now checks the capped count that took their place.
 @pytest.mark.parametrize("build", [delta_model, boundary_delta_model, sphere_model])
 @pytest.mark.parametrize("n, degree", [
     (0, 0), (0, 5), (1, 0), (1, 1), (2, 7), (3, 2), (5, 12),
@@ -116,9 +132,9 @@ def test_closed_form_dimension_builds_nothing():
     (6000, 14001), (7000, 14001), (10_000, 30_000),
 ])
 def test_ln_dimension_is_the_log_of_the_dimension(build, n, degree):
-    model = build(n, degree)
-    size, ln = model.dimension(degree), model.ln_dimension(degree)
-    assert ln == -math.inf if size == 0 else abs(ln - math.log(size)) < 1e-6
+    model, exact = build(n, degree), MODULE_COUNTS[build](n, degree)
+    check_capped(partial(model.dimension, degree), exact,
+                 {0, max(exact - 1, 0), exact, 200_000, 10**4000})
 
 
 @pytest.mark.parametrize("n, degree, poly", [
@@ -126,17 +142,24 @@ def test_ln_dimension_is_the_log_of_the_dimension(build, n, degree):
     (4, 9, 3_000_000), (6000, 12000, 3), (7000, 14001, 2),
 ])
 def test_algebra_ln_dimension_is_the_log_of_the_dimension(n, degree, poly):
-    # the last has a sphere count past 4,000 digits, given by its log alone
+    # the last has a sphere count past 4,000 digits, itself over 10^4000
     model = algebra_model(n, degree, poly)
-    assert abs(model.ln_dimension(degree) - math.log(model.dimension(degree))) < 1e-6
+    exact = math.comb(math.comb(degree, n) + poly, poly)
+    check_capped(partial(model.dimension, degree), exact,
+                 {0, max(exact - 1, 0), exact, 200_000, 10**4000})
 
 
-def test_ln_binomial_past_the_float_range():
-    # C(m + k, k) with k past 10^308 has a log past the float range
-    assert ln_binomial(10**400, 10**3000) == math.inf
-    assert ln_binomial(10**3000, None, ln_m=math.log(10**400)) == math.inf
-    assert ln_binomial(0, 10**3000) == ln_binomial(10**3000, 0) == 0.0
-    assert abs(ln_binomial(2, 10**3000) - math.log(math.comb(10**3000 + 2, 2))) < 1e-6
+@given(st.integers(0, 300), st.integers(-2, 302), st.data())
+def test_capped_binomial_is_math_comb(n, k, data):
+    # caps at, just below and just over a partial product C(m + i, i),
+    # where the loop may stop, and one anywhere
+    exact = math.comb(n, k) if k >= 0 else 0
+    j = max(min(k, n - k), 0)
+    i = data.draw(st.integers(0, j))
+    partial_product = math.comb(n - j + i, i)
+    caps = {partial_product - 1, partial_product, partial_product + 1,
+            data.draw(st.integers(0, 2 * exact + 1))}
+    check_capped(partial(binomial, n, k), exact, caps)
 
 
 def test_basis_is_lazy_and_cached():
