@@ -1,25 +1,23 @@
 """Chain complexes over F2 attached to the finite models.
 
-A complex is held as its differential alone: per degree, one column per
-basis vector, the ascending tuple of the degree-(q-1) basis indices in
-its boundary.  Two complexes per model: the associated complex (basis =
-the model basis, differential = sum of all faces), built once per model
-for degrees 0..max_degree and kept on it, and the normalized one, the
-subcomplex whose degree q part is the intersection of the kernels of
-d_1 ... d_q.  On that subcomplex the associated differential is d_0
-(May, *Simplicial Objects in Algebraic Topology*, §22), so the
-normalized differential is d_0 alone, read from the face table.  They
-compute the same homology, which the tests and the CLI verify
-degreewise.  Both read the faces from the model's face table over basis
-indices (``Model.faces``, one list per face), not from labels.  All
-linear algebra is exact sparse elimination from `gf2`, and every vector
-over a basis, a column or a cycle, is in its one format: the ascending
-tuple of the basis indices where it is 1.
+A complex is held, and compared, as its differential alone: per degree,
+one column per basis vector, the ascending tuple of the degree-(q-1)
+basis indices in its boundary.  Two complexes per model: the associated
+complex (basis = the model basis, differential = sum of all faces),
+built once per model for degrees 0..max_degree and kept on it, and the
+normalized one, the subcomplex whose degree q part is the intersection
+of the kernels of d_1 ... d_q.  On that subcomplex the associated
+differential is d_0 (May, *Simplicial Objects in Algebraic Topology*,
+§22), so the normalized differential is d_0 alone, read from the face
+table.  They compute the same homology, which the tests and the CLI
+verify degreewise.  Both read the faces from the model's face table over
+basis indices (``Model.faces``, one list per face), not from labels.
+All linear algebra is exact sparse elimination from `gf2`, and every
+vector over a basis, a column or a cycle, is in its one format: the
+ascending tuple of the basis indices where it is 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .gf2 import F2Matrix, coordinates, mod2
 from .models import F2Element, Model
@@ -30,7 +28,6 @@ class NotACycleError(Exception):
     """A homology-class query was made for a non-cycle."""
 
 
-@dataclass
 class ChainComplexF2:
     """Nonnegatively graded complex, degrees 0..top, held as its differential.
 
@@ -41,10 +38,21 @@ class ChainComplexF2:
     are ascending tuples of basis indices, as in `gf2`.
     Homology is defined for q <= top - 1 (the differential into degree
     top is unknown beyond the truncation).
+    Complexes are equal when their differentials are, whatever matrices
+    they keep for rank and solve; a complex is mutable, so it has no hash.
     """
 
-    diff: list[list[tuple[int, ...]]]
-    _solvers: dict[int, F2Matrix] = field(default_factory=dict, repr=False)
+    def __init__(self, diff: list[list[tuple[int, ...]]]):
+        self.diff = diff
+        self._solvers: dict[int, F2Matrix] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diff == other.diff
+
+    def __repr__(self) -> str:
+        return f"ChainComplexF2(diff={self.diff!r})"
 
     @property
     def top(self) -> int:

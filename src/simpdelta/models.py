@@ -49,13 +49,12 @@ would corrupt cycle checks downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations_with_replacement, repeat, takewhile
 from operator import getitem, itemgetter, sub
 
 from .gf2 import mod2
-from .words import Word, face, letter_theta, walk
+from .words import Value, Word, face, letter_theta, walk
 from .words import OutOfRangeError, TruncationOverflowError  # re-exported
 
 
@@ -63,12 +62,14 @@ class DegreeMismatchError(Exception):
     """Two elements of different simplicial degree were combined."""
 
 
-@dataclass(frozen=True)
-class F2Element:
+class F2Element(Value):
     """A mod-2 set of basis labels in one simplicial degree."""
 
-    degree: int
-    support: frozenset
+    __slots__ = ("degree", "support")
+
+    def __init__(self, degree: int, support: frozenset):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "support", support)
 
     def __add__(self, other: "F2Element") -> "F2Element":
         if self.degree != other.degree:
@@ -532,21 +533,19 @@ def algebra_model(n: int, max_degree: int, poly_bound: int,
 # tensor elements
 
 
-@dataclass(frozen=True)
-class TensorElement:
-    left_degree: int
-    right_degree: int
-    pairs: frozenset
+class TensorElement(Value):
+    __slots__ = ("left_degree", "right_degree", "pairs")
+
+    def __init__(self, left_degree: int, right_degree: int, pairs: frozenset):
+        object.__setattr__(self, "left_degree", left_degree)
+        object.__setattr__(self, "right_degree", right_degree)
+        object.__setattr__(self, "pairs", pairs)
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        if (self.left_degree, self.right_degree) != (
-            other.left_degree,
-            other.right_degree,
-        ):
+        bidegree = (other.left_degree, other.right_degree)
+        if (self.left_degree, self.right_degree) != bidegree:
             raise DegreeMismatchError("tensor bidegrees differ")
-        return TensorElement(
-            self.left_degree, self.right_degree, self.pairs ^ other.pairs
-        )
+        return TensorElement(self.left_degree, self.right_degree, self.pairs ^ other.pairs)
 
     def __bool__(self) -> bool:
         return bool(self.pairs)

@@ -22,7 +22,6 @@ completely, so that route is not just a spot check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .models import delta_model, evaluate_em, tensor
@@ -31,20 +30,25 @@ from .transforms import (
     diagonal_identity, dwyer_defect, em_equal, face0_left, face0_right, higher_shuffle,
     identity_transform, shuffle_map, word_pair, zero_transform,
 )
-from .words import DEGENERACY, FACE, IDENTITY, Word, face, is_defined, normalize
+from .words import DEGENERACY, FACE, IDENTITY, Value, Word, face, is_defined, normalize
 
 
 class UnknownRelationError(Exception):
     """The relation name is not in the catalog."""
 
 
-@dataclass(frozen=True)
-class RelationResult:
-    name: str
-    description: str
-    cases: int
-    passed: bool
-    witness: str | None = None
+class RelationResult(Value):
+    """One relation's verdict on its window, with the first failing witness."""
+
+    __slots__ = ("name", "description", "cases", "passed", "witness")
+
+    def __init__(self, name: str, description: str, cases: int, passed: bool,
+                 witness: str | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.passed

@@ -29,7 +29,6 @@ transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -39,6 +38,7 @@ from .words import (
     DEGENERACY,
     IDENTITY,
     NormalForm,
+    Value,
     Word,
     degeneracy_word,
     face,
@@ -50,11 +50,13 @@ class IndexMismatchError(Exception):
     """Two transforms with different index functions cannot be added or compared."""
 
 
-@dataclass(frozen=True)
-class IndexFunction:
+class IndexFunction(Value):
     """(i, j) |-> (a1*i + b1*j + c1, a2*i + b2*j + c2)."""
 
-    rows: tuple[tuple[int, int, int], tuple[int, int, int]]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, int, int], tuple[int, int, int]]):
+        object.__setattr__(self, "rows", rows)
 
     def __call__(self, i: int, j: int) -> tuple[int, int]:
         (a1, b1, c1), (a2, b2, c2) = self.rows
@@ -363,13 +365,19 @@ def dwyer_defect(k: int) -> EMTransform:
 # comparison and dumping
 
 
-@dataclass(frozen=True)
-class EqualityReport:
-    equal: bool
-    bidegrees_checked: int
-    witness: tuple[int, int] | None = None
-    left_only: frozenset = frozenset()
-    right_only: frozenset = frozenset()
+class EqualityReport(Value):
+    """Two families on a window: the first bidegree where they differ, if any."""
+
+    __slots__ = ("equal", "bidegrees_checked", "witness", "left_only", "right_only")
+
+    def __init__(self, equal: bool, bidegrees_checked: int,
+                 witness: tuple[int, int] | None = None,
+                 left_only: frozenset = frozenset(), right_only: frozenset = frozenset()):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "bidegrees_checked", bidegrees_checked)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "left_only", left_only)
+        object.__setattr__(self, "right_only", right_only)
 
     def __bool__(self) -> bool:
         return self.equal

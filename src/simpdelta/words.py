@@ -32,6 +32,11 @@ letters only when one of them never passed it before.  Normal forms are
 hash-consed the same way, one ``NormalForm`` per distinct form, and
 compare by identity too.
 
+Both are ``Record``s, the package's frozen slotted records, defined here at
+the bottom layer; a ``Value`` record compares and hashes by its fields.
+The package imports no ``dataclasses``: it loads ``inspect`` and with it
+``ast``, ``dis`` and ``tokenize``, which no command reads.
+
 A word's epi-mono form does not depend on the degree, only whether the
 word reaches it does.  So each word carries its form and its floor: the
 lowest source degree from which the walk neither raises nor lands in the
@@ -47,8 +52,6 @@ refers to its form but never the other way, so no reference cycle is made.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 FACE = "d"
 DEGENERACY = "s"
@@ -78,8 +81,45 @@ _FORMS: dict[tuple[tuple[int, ...], tuple[int, ...], bool], NormalForm] = {}
 _LETTERS: set[tuple[str, int]] = set()
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class Word:
+class Record:
+    """A frozen record over its ``__slots__``, each set once by its class
+    through ``object.__setattr__``.  Assigning or deleting a field raises
+    AttributeError, ``repr`` reads ``Name(field=value, ...)``, a copy or
+    unpickling calls the class on the fields, and records compare by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Value(Record):
+    """A record that compares and hashes by its fields, unequal to any other class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Word(Record):
     """An ordered tuple of generators; ``factors[-1]`` applies first.
 
     Words are hash-consed: ``Word(factors)`` returns the one live word with
@@ -94,11 +134,9 @@ class Word:
     unpickling a word returns the shared object.
     """
 
-    factors: tuple[tuple[str, int], ...]
-    # Private slots, not constructor fields: the formal normal form and
-    # floor degree (None until filled by ``*`` or the first ``normalize``).
-    _form: NormalForm | None
-    _floor: int
+    # ``factors``, then the private formal normal form and floor degree, not
+    # constructor fields (None and unset until ``*`` or ``normalize`` fills them)
+    __slots__ = ("factors", "_form", "_floor")
 
     def __new__(cls, factors: tuple[tuple[str, int], ...] = ()):
         word = _WORDS.get(factors)
@@ -192,8 +230,7 @@ def parse_word(text: str) -> Word:
     return Word(tuple(factors))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class NormalForm:
+class NormalForm(Record):
     """Epi-mono normal form, or the distinguished zero form.
 
     ``degeneracies`` is strictly decreasing as written, ``faces`` strictly
@@ -205,9 +242,7 @@ class NormalForm:
     and compare by identity.  Copying or unpickling a form returns it.
     """
 
-    degeneracies: tuple[int, ...]
-    faces: tuple[int, ...]
-    is_zero: bool
+    __slots__ = ("degeneracies", "faces", "is_zero")
 
     def __new__(cls, degeneracies: tuple[int, ...] = (),
                 faces: tuple[int, ...] = (), is_zero: bool = False):
@@ -220,9 +255,6 @@ class NormalForm:
             object.__setattr__(form, "is_zero", is_zero)
             _FORMS[key] = form
         return form
-
-    def __reduce__(self):
-        return (NormalForm, (self.degeneracies, self.faces, self.is_zero))
 
     def word(self) -> Word:
         if self.is_zero:

@@ -424,6 +424,22 @@ def _pivots(columns) -> dict:
         "_emit(help_text.getvalue(), None)",
         "sys.stdout.write(help_text.getvalue())",
         (f"{FAILED_WRITE}[help-buffered]",)),
+    # records: frozen, compared by every field, and built without dataclasses
+    Mutant(
+        "record-equality-skips-its-last-field", "words.py",
+        "return self._fields() == other._fields()",
+        "return self._fields()[:-1] == other._fields()[:-1]",
+        ("tests/test_records.py::test_one_changed_field_gives_an_unequal_record",)),
+    Mutant(
+        "frozen-record-assigns", "words.py",
+        """        raise AttributeError(f"cannot assign to or delete field {name!r}")""",
+        """        object.__setattr__(self, name, value)""",
+        ("tests/test_records.py::test_value_records_are_frozen",)),
+    Mutant(
+        "relations-imports-dataclasses", "relations.py",
+        "from itertools import product\n",
+        "from dataclasses import dataclass\nfrom itertools import product\n",
+        ("tests/test_cli.py::test_the_command_imports_no_module_it_does_not_name",)),
 ]
 
 

@@ -1,6 +1,7 @@
 """Command-line entry points, driven in-process through main(), and the
 command itself (entry) in a few child processes."""
 
+import ast
 import errno
 import gc
 import json
@@ -498,6 +499,48 @@ def test_the_command_freezes_its_heap_before_it_exits(capsys, monkeypatch, code,
     assert proc.stderr.startswith(err)
     frozen = proc.stderr[len(err):]
     assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+# the command's import in a bare interpreter: the modules the package's
+# sources name come first, listed on the command line; prints the modules
+# they loaded, then those the package loaded beyond them
+COLD_START = """
+import sys
+bare = set(sys.modules)
+for name in sys.argv[1:]:
+    __import__(name)
+named = set(sys.modules)
+import simpdelta.cli
+print(*sorted(named - bare))
+print(*sorted(set(sys.modules) - named))
+"""
+
+
+def named_modules():
+    """The modules named by an absolute import in the package's sources."""
+    names = set()
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return sorted(names)
+
+
+def test_the_command_imports_no_module_it_does_not_name():
+    # without site, and with what the sources name already loaded, the
+    # package adds only itself; dataclasses and inspect, which bring ast,
+    # dis, tokenize and linecache, are not loaded at all
+    names = named_modules()
+    assert "sys" in names and "argparse" in names
+    proc = spawn("-S", "-c", COLD_START, *names)
+    assert proc.returncode == 0, proc.stderr
+    by_names, by_package = (line.split() for line in proc.stdout.splitlines())
+    assert "simpdelta.cli" in by_package
+    assert [m for m in by_package
+            if m != "__future__" and m.partition(".")[0] != "simpdelta"] == []
+    assert {"dataclasses", "inspect"}.isdisjoint(by_names + by_package)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -14,6 +14,7 @@ from label_oracle import letter_image, letter_label
 from simpdelta import gf2, homology
 from simpdelta.gf2 import F2Matrix, bits, coordinates, reduced_echelon
 from simpdelta.homology import (
+    ChainComplexF2,
     NotACycleError,
     associated_complex,
     cycle_subspace,
@@ -101,6 +102,20 @@ def test_rank_bounds():
         cc.homology_rank(cc.top)
     with pytest.raises(ValueError):
         cc.homology_rank(-1)
+
+
+def test_complexes_compare_by_their_differential_alone():
+    # the matrices a complex keeps once it answers a rank query do not
+    # make it unequal to a complex that answered none
+    a = ChainComplexF2([[()], [(0,)], [()]])
+    b = ChainComplexF2([[()], [(0,)], [()]])
+    assert a == b
+    assert a.rank_d(1) == 1 and a.rank_d(2) == 0
+    assert a == b and b == a
+    assert a != ChainComplexF2([[()], [()], [()]])
+    assert a != a.diff
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_normalized_subspace():
