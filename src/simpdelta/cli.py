@@ -33,7 +33,6 @@ objects, and that last scan of them took a tenth of a second.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -98,11 +97,13 @@ def _refuse_over(budget: int, count, what: str):
 # would run for minutes before its first elimination.
 BASIS_BUDGET = 200_000
 
-# The most work, (top + 1)^2 dim(top) (top + 1 + P), that `delta` and
-# `homology` will take on: per degree and label, its faces and their labels
-# of top + 1 vertices and up to P factors.  It admits delta --q 5 --i 5
+# The most work, (top + 1)^2 max(dim(top), 1) (top + 1 + P), that `delta`
+# and `homology` will take on: per degree and label, its faces and their
+# labels of top + 1 vertices and up to P factors; every degree compiles its
+# faces, so an empty one counts as one label.  It admits delta --q 5 --i 5
 # (216,550,656: seconds) and refuses Sphere(1) to degree 150 (516,442,650:
-# five seconds) and Delta(0) to degree 1000 (some ten seconds).
+# five seconds), Delta(0) to degree 1000 (some ten seconds) and the empty
+# Boundary(0) to degree 3000 (over ten seconds).
 WORK_BUDGET = 500_000_000
 
 
@@ -113,7 +114,8 @@ def _check_size(model):
     dimension = partial(model.dimension, top)
     _refuse_over(BASIS_BUDGET, dimension,
                  f"{model.name} would have {{}} basis elements in degree {top}")
-    _refuse_over(WORK_BUDGET, lambda cap: (top + 1) ** 2 * dimension(cap) * span,
+    _refuse_over(WORK_BUDGET,
+                 lambda cap: (top + 1) ** 2 * max(dimension(cap), 1) * span,
                  f"{model.name} would take {{}} steps up to degree {top}")
 
 
@@ -182,6 +184,7 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # here, not at the top: only csv output loads it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -3,20 +3,21 @@
 Module models are spans of nondecreasing vertex tuples: the standard
 simplex, its boundary, and the quotient sphere (whole boundary collapsed
 to zero, so the sphere is reduced: its degree-m basis is the set of
-surjective tuples).  The algebra model is the polynomial algebra on the
-sphere's basis in each degree, truncated at a polynomial degree bound;
-its monomials are sorted multisets of sphere labels.
+surjective tuples, each built from its degeneracy mask).  Each lists
+exactly the labels its closed form counts.  The algebra model is the
+polynomial algebra on the sphere's basis in each degree, truncated at a
+polynomial degree bound; its monomials are sorted multisets of sphere labels.
 
 Words act on a label through one order-preserving map θ of vertex
 positions (May, *Simplicial Objects in Algebraic Topology*, §1), composed
 by ``words.letter_theta`` (d_r drops position r, s_r repeats it).  Each
 model has one label rule, ``theta_label``: the label's vertices gathered
-through θ, kept when the image is still a basis label (a module model's
-membership test, which is the sphere's quotient) and re-sorted factorwise
-for algebra monomials.  The one action on elements is
-``Model.apply_word``, where a single face or degeneracy is a one-letter
-word; what the word means at a source degree (defined, zero, or past the
-truncation) is ``words.walk`` itself, run on the model's ``max_degree``.
+through θ, zero on the sphere when a face leaves a vertex out (the one
+place an image can leave the basis), and re-sorted factorwise for algebra
+monomials.  The one action on elements is ``Model.apply_word``, where a
+single face or degeneracy is a one-letter word; what the word means at a
+source degree (defined, zero, or past the truncation) is ``words.walk``
+itself, run on the model's ``max_degree``.
 A word that is defined or zero there is compiled once per model into a
 plan, keyed by the word object (words hash by identity) and the degree;
 a word that fails is not kept, so it walks and raises again on every
@@ -50,7 +51,8 @@ would corrupt cycle checks downstream.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations_with_replacement, repeat, takewhile
+from itertools import (accumulate, chain, combinations, combinations_with_replacement,
+                       repeat, takewhile)
 from operator import getitem, itemgetter, sub
 
 from .gf2 import mod2
@@ -255,7 +257,9 @@ class Model:
 
 
 class ModuleModel(Model):
-    """Span of a set of nondecreasing vertex tuples closed under the actions."""
+    """Span of a set of nondecreasing vertex tuples closed under the actions.
+    Each subclass names its ``family``, and its ``_labels`` lists in lex
+    order the degree-d labels that its ``dimension`` counts."""
 
     poly_bound = 0  # a label is one tuple, not a product of factors
 
@@ -263,8 +267,9 @@ class ModuleModel(Model):
         if n < 0 or max_degree < 0:
             raise ValueError("n and max_degree must be nonnegative")
         super().__init__(n, max_degree)
+        self.name = f"{self.family}({n})"
 
-    def _member(self, label: tuple) -> bool:
+    def _labels(self, degree: int):
         raise NotImplementedError
 
     def basis(self, degree: int) -> tuple:
@@ -275,24 +280,14 @@ class ModuleModel(Model):
                 f"degree {degree} exceeds max_degree {self.max_degree}"
             )
         if degree not in self._basis:
-            self._basis[degree] = tuple(
-                lbl
-                for lbl in combinations_with_replacement(
-                    range(self.n + 1), degree + 1
-                )
-                if self._member(lbl)
-            )
+            self._basis[degree] = tuple(self._labels(degree))
         return self._basis[degree]
 
     def theta_label(self, gather, label):
-        """The gathered vertices, or None when they leave the basis.
-
-        Faces only shrink a tuple's vertex set and degeneracies keep it,
-        so membership is exactly the sphere's quotient, and it always
-        holds for Delta(n) and its boundary.
-        """
-        img = gather(label)
-        return img if self._member(img) else None
+        """The gathered vertices.  A face only shrinks a tuple's vertex set
+        and a degeneracy keeps it, so Delta(n) and its boundary hold every
+        image; only the sphere checks it (``SphereModel.theta_label``)."""
+        return gather(label)
 
     def _face_table(self, q: int) -> tuple:
         """``theta_label`` through each face's compiled θ, looked up by label."""
@@ -313,12 +308,10 @@ class ModuleModel(Model):
 class DeltaModel(ModuleModel):
     """The standard n-simplex: every nondecreasing tuple is a basis vector."""
 
-    def __init__(self, n, max_degree):
-        super().__init__(n, max_degree)
-        self.name = f"Delta({n})"
+    family = "Delta"
 
-    def _member(self, label):
-        return True
+    def _labels(self, degree):
+        return combinations_with_replacement(range(self.n + 1), degree + 1)
 
     def dimension(self, degree, cap=None):
         return binomial(self.n + degree + 1, degree + 1, cap) if degree >= 0 else 0
@@ -327,12 +320,11 @@ class DeltaModel(ModuleModel):
 class BoundaryDeltaModel(ModuleModel):
     """The boundary subcomplex: tuples that miss at least one vertex."""
 
-    def __init__(self, n, max_degree):
-        super().__init__(n, max_degree)
-        self.name = f"BoundaryDelta({n})"
+    family = "BoundaryDelta"
 
-    def _member(self, label):
-        return len(set(label)) < self.n + 1
+    def _labels(self, degree):
+        return (lbl for lbl in DeltaModel._labels(self, degree)
+                if len(set(lbl)) <= self.n)
 
     def dimension(self, degree, cap=None):
         if degree < 0:
@@ -354,12 +346,23 @@ class SphereModel(ModuleModel):
     dimension is C(m, m-n) for m >= n.
     """
 
-    def __init__(self, n, max_degree):
-        super().__init__(n, max_degree)
-        self.name = f"Sphere({n})"
+    family = "Sphere"
 
-    def _member(self, label):
-        return len(set(label)) == self.n + 1
+    def _labels(self, m):
+        """The surjective (0, f_1, .., f_m), one per degeneracy mask: the
+        m - n positions j where f_j = f_(j-1), f_j = f_(j-1) + 1 elsewhere
+        (May, §1).  Masks in ``combinations`` order give lex order."""
+        if self.n > m:
+            return ()
+        positions = range(1, m + 1)
+        return (tuple(accumulate((j not in mask for j in positions), initial=0))
+                for mask in combinations(positions, m - self.n))
+
+    def theta_label(self, gather, label):
+        """The gathered vertices, or None where a face left a vertex out:
+        that image lies in the boundary, which is collapsed to zero."""
+        img = gather(label)
+        return img if len(set(img)) == self.n + 1 else None
 
     def dimension(self, degree, cap=None):
         return binomial(degree, self.n, cap)
@@ -401,11 +404,8 @@ class AlgebraModel(Model):
         if degree < 0:
             return ()
         if degree not in self._basis:
-            gens = self.underlying.basis(degree)
-            monos = [()]
-            for p in range(1, self._top_length(gens) + 1):
-                monos.extend(combinations_with_replacement(gens, p))
-            self._basis[degree] = tuple(monos)
+            self._basis[degree] = tuple(
+                self._monomials(self.underlying.basis(degree)))
         return self._basis[degree]
 
     def dimension(self, degree, cap=None):
@@ -424,17 +424,14 @@ class AlgebraModel(Model):
         yields the monomials in basis order, and sorting index tuples
         sorts the labels they stand for.
         """
-        gens = range(len(self.underlying.basis(degree)))
-        return chain([()], *(
-            combinations_with_replacement(gens, p)
-            for p in range(1, self._top_length(gens) + 1)
-        ))
+        return self._monomials(range(len(self.underlying.basis(degree))))
 
-    def _top_length(self, gens) -> int:
-        """The longest monomial on these generators: the polynomial bound,
-        or 0 when there is no generator and the unit is the whole basis
-        (a loop to the bound would then build nothing in O(P^2) time)."""
-        return self.poly_bound if gens else 0
+    def _monomials(self, gens):
+        """The unit, then each length's monomials on ``gens`` in lex order up
+        to the polynomial bound; with no generator, the unit alone."""
+        top = self.poly_bound if gens else 0
+        return chain([()], *(combinations_with_replacement(gens, p)
+                             for p in range(1, top + 1)))
 
     def _face_table(self, q: int) -> tuple:
         """Faces are algebra maps: d_r of a monomial is d_r of its prefix
@@ -461,7 +458,7 @@ class AlgebraModel(Model):
         # the monomials one factor shorter: their first index and their last
         # factors; at first the unit, whose extensions start at generator 0
         start, last = 0, [0]
-        for _ in range(self._top_length(range(s))):
+        for _ in range(bound if s else 0):
             counts = map(sub, repeat(s), last)
             prefix = list(chain.from_iterable(
                 map(repeat, range(start, start + len(last)), counts)))

@@ -11,7 +11,6 @@ on any other input.
 
 from __future__ import annotations
 
-import random
 import warnings
 
 from .gf2 import bits, reduced_echelon
@@ -145,6 +144,7 @@ def delta_report(
         return report
     report["homology_class_nonzero"] = not same_class(model, value, model.zero(q + i))
     if perturbations > 0:
+        import random  # here, not at the top: only the draws load it
         rng = random.Random(seed)
         # delta_i squares its input, so a perturbed cycle fits the truncation
         # only if its monomials stay within half the bound.  Faces keep a

@@ -142,6 +142,32 @@ MUTANTS = [
         "table = tuple([0] for _ in sphere)",
         "table = tuple([-1] for _ in sphere)",
         (FACE_ROWS,)),
+    # module models list their labels: the sphere from its degeneracy masks,
+    # in lex order, and only the sphere's θ rule drops an image
+    Mutant(
+        "sphere-masks-reversed", "models.py",
+        "for mask in combinations(positions, m - self.n))",
+        "for mask in reversed(list(combinations(positions, m - self.n))))",
+        ("tests/test_models.py::test_module_labels_are_the_filtered_tuples[sphere_model]",)),
+    Mutant(
+        "sphere-theta-unchecked", "models.py",
+        "return img if len(set(img)) == self.n + 1 else None",
+        "return img",
+        (f"{FACE_ROWS}[Sphere(2)]",)),
+    # an empty top degree is charged as one label of work
+    Mutant(
+        "empty-top-degree-costs-nothing", "cli.py",
+        "max(dimension(cap), 1)",
+        "dimension(cap)",
+        ("tests/test_cli.py::test_work_budget_admits_the_calibration_runs"
+         "[BoundaryDelta(0)-27027009001-False]",)),
+    # the closed formula is the refinement route as a sum of words: each
+    # unordered split of the window once, the block holding q - i first
+    Mutant(
+        "anchor-dropped", "operations.py",
+        "return [((q - i,) + mu, nu) for mu, nu in shuffles(rest, i - 1)]",
+        "return [(mu, nu) for mu, nu in shuffles((q - i,) + rest, i)]",
+        ("tests/test_operations.py::test_the_two_routes_agree_as_word_sums",)),
     # the one mod-2 sum, the face-sum guard and the stability verdict
     Mutant(
         "mod2-only-adds", "gf2.py",

@@ -4,16 +4,20 @@ command itself (entry) in a few child processes."""
 import ast
 import errno
 import gc
+import io
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simpdelta import cli
 from simpdelta.cli import main
@@ -543,6 +547,29 @@ def test_the_command_imports_no_module_it_does_not_name():
     assert {"dataclasses", "inspect"}.isdisjoint(by_names + by_package)
 
 
+# a run of the command, then its exit code and which of random and csv it
+# loaded, as the last line on stderr
+LOADED = """
+import sys
+from simpdelta.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted({"random", "csv"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("--help",), ""),
+    (("verify", "simp", "--max-total", "4"), ""),
+    (("delta", "--q", "2", "--i", "2", "--perturbations", "0"), ""),
+    (("delta", "--q", "2", "--i", "2", "--perturbations", "1"), " random"),
+    (("verify", "simp", "--max-total", "4", "--format", "csv"), " csv"),
+], ids=["help", "verify", "delta-unperturbed", "delta-perturbed", "verify-csv"])
+def test_random_and_csv_load_only_where_they_are_used(argv, loaded):
+    # the perturbation draws import random, and csv output imports csv
+    proc = spawn("-S", "-c", LOADED, *argv)
+    assert proc.stderr.splitlines()[-1] == f"0{loaded}"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
@@ -633,8 +660,12 @@ def test_oversized_model_exits_2_at_once(capsys, argv, size):
     # two labels in every degree, past 10^31 steps: the order of magnitude
     (("homology", "--model", "boundary", "--n", "1", "--max-degree", "1" + "0" * 20),
      "about 10^60 steps"),
+    # no label in any degree: each still compiles its faces, charged as one label
+    (("homology", "--model", "boundary", "--n", "0", "--max-degree", "3000"),
+     "27,027,009,001 steps up to degree 3000"),
 ], ids=["sphere-algebra-poly-199999", "sphere-algebra-poly-20000", "sphere-model-300",
-        "delta-model-0-100000000", "delta-model-0-1000", "boundary-model-1-10^20"])
+        "delta-model-0-100000000", "delta-model-0-1000", "boundary-model-1-10^20",
+        "boundary-model-0-3000"])
 def test_too_much_work_exits_2_at_once(capsys, argv, size):
     t0 = perf_counter()
     code, out, err = run(capsys, *argv)
@@ -698,6 +729,91 @@ def test_an_algebra_without_generators_passes_the_guard():
     cli._check_size(model)
 
 
+@pytest.mark.parametrize("argv", [
+    ("homology", "--model", "sphere", "--n", "14", "--max-degree", "13"),
+    ("homology", "--model", "sphere", "--n", str(10**40), "--max-degree", "5"),
+    ("homology", "--model", "sphere-algebra", "--n", "1000000", "--max-degree", "3"),
+], ids=["sphere-14-13", "sphere-10^40-5", "sphere-algebra-1000000-3"])
+def test_empty_spheres_exit_0_at_once(capsys, argv):
+    # a sphere has no label below its dimension, and the guard admits it:
+    # its table is all zero, and the algebra's is the unit's alone
+    t0 = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - t0 < 1
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 * int(argv[-1])
+    for _, degree, dim, rank, betti, agree in rows:
+        if argv[2] == "sphere":
+            assert (dim, rank, betti) == ("0", "0", "0")
+        else:
+            assert betti == ("1" if degree == "0" else "0")
+        assert agree == "true"
+
+
+# every int flag of `homology` and `delta`: a small value or a huge one
+SIZES = st.integers(0, 6) | st.sampled_from([10**6, 10**40])
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A `homology` or `delta` command line over SIZES, each optional flag
+    given or left out."""
+    def sizes(*names, optional=False):
+        argv = []
+        for name in names:
+            value = draw(st.none() | SIZES) if optional else draw(SIZES)
+            if value is not None:
+                argv += [f"--{name}", str(value)]
+        return argv
+
+    if draw(st.booleans()):
+        model = draw(st.sampled_from(["delta", "boundary", "sphere", "sphere-algebra"]))
+        return ["homology", "--model", model, *sizes("n", "max-degree"),
+                *sizes("poly", optional=True)]
+    return ["delta", *sizes("q", "i"), *sizes("poly", "perturbations", "seed",
+                                                optional=True)]
+
+
+class _Hang(Exception):
+    """A fuzzed run outlived its interval timer."""
+
+
+def _hang(signum, frame):
+    raise _Hang
+
+
+@given(fuzzed_argv())
+def _fuzz_main(argv):
+    # the slowest admitted run in range, homology of SphereAlgebra(3, P=5)
+    # to degree 6, takes about 6 s on a 2-core host; a run past 8 s hangs
+    out, err = io.StringIO(), io.StringIO()
+    t0 = perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 8)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert perf_counter() - t0 < 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_homology_and_delta_never_raise_or_hang():
+    # main in this process, timed by an interval timer on this process alone:
+    # every run exits 0, 1 or 2, and a refusal is one line within 1 s
+    old = signal.signal(signal.SIGALRM, _hang)
+    t0 = perf_counter()
+    try:
+        _fuzz_main()
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert perf_counter() - t0 < 10
+
+
 @pytest.mark.parametrize("q, i, poly, admitted", [
     (5, 5, 2, True),   # 107,416 monomials in degree 11
     (3, 3, 4, True),   # 82,251 in degree 7
@@ -717,11 +833,15 @@ def test_size_budget_admits_the_largest_verdicts_that_finish(q, i, poly, admitte
     (delta_model(0, 600), 217_081_801, True),
     (sphere_model(1, 150), 516_442_650, False),
     (algebra_model(1, 1, 199_999), 160_000_800_000, False),
+    # an empty top degree is charged as one label
+    (boundary_delta_model(0, 3000), 27_027_009_001, False),
+    (sphere_model(14, 13), 2_744, True),
 ], ids=lambda v: getattr(v, "name", v))
 def test_work_budget_admits_the_calibration_runs(model, work, admitted):
-    # closed forms only: W = (top + 1)^2 dim(top) (top + 1 + P)
+    # closed forms only: W = (top + 1)^2 max(dim(top), 1) (top + 1 + P)
     top = model.max_degree
-    assert (top + 1) ** 2 * model.dimension(top) * (top + 1 + model.poly_bound) == work
+    dim = max(model.dimension(top), 1)
+    assert (top + 1) ** 2 * dim * (top + 1 + model.poly_bound) == work
     assert (work <= cli.WORK_BUDGET) == admitted
     if admitted:
         cli._check_size(model)

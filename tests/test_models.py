@@ -15,7 +15,7 @@ from itertools import chain
 import pytest
 from diagnostics import dump_model, verify_simplicial_identities
 from hypothesis import given, settings, strategies as st
-from label_oracle import letter_label
+from label_oracle import filtered_labels, letter_label
 
 from simpdelta.models import (
     DegreeMismatchError,
@@ -171,6 +171,21 @@ def test_basis_is_lazy_and_cached():
     assert not dm._basis.get(9)
     with pytest.raises(TruncationOverflowError):
         dm.basis(31)
+
+
+@pytest.mark.parametrize("build", [delta_model, boundary_delta_model, sphere_model],
+                         ids=lambda b: b.__name__)
+def test_module_labels_are_the_filtered_tuples(build):
+    # each family lists its labels directly, in the order and with the
+    # entries (ints, not bools) of the filter over every nondecreasing tuple,
+    # and exactly as many as its closed form counts
+    for n in range(6):
+        model = build(n, 9)
+        for d in range(10):
+            labels = model.basis(d)
+            assert labels == filtered_labels(model, d), (n, d)
+            assert len(labels) == model.dimension(d), (n, d)
+            assert all(type(v) is int for lbl in labels for v in lbl)
 
 
 def test_sphere_is_the_quotient_of_delta():

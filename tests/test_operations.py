@@ -8,6 +8,7 @@ from diagnostics import shuffle_pairs, shuffle_square
 from hypothesis import given, strategies as st
 
 from simpdelta import operations
+from simpdelta.gf2 import mod2
 from simpdelta.homology import (
     cycle_subspace,
     is_cycle,
@@ -25,7 +26,8 @@ from simpdelta.operations import (
     delta_report,
     delta_via_em,
 )
-from simpdelta.words import FACE, degeneracy, face
+from simpdelta.transforms import higher_shuffle
+from simpdelta.words import FACE, degeneracy, face, normalize
 
 
 def test_pair_enumeration_counts_and_window():
@@ -121,6 +123,24 @@ def test_the_two_routes_agree_on_a_large_top_operation(q):
     assert value and is_cycle(am, value)
     assert value == delta_via_em(am, z, q)
     assert am._basis == {}
+
+
+def test_the_two_routes_agree_as_word_sums():
+    # D^(q-i) on z (x) z at (q, q), then multiplied, against the anchored
+    # shuffle sum, as sums of pairs of normal forms.  A form with a face
+    # kills a normalized cycle, since in s..s d..d the faces act first; the
+    # algebra is commutative, so (a, b) is (b, a), and a pair counts mod 2.
+    # So the routes agree on every normalized cycle of every simplicial
+    # commutative F2-algebra, not only on the models' fundamental classes
+    for q in range(2, 9):
+        for i in range(2, q + 1):
+            em = mod2(frozenset(pair)
+                      for pair in higher_shuffle(q - i).reduced(q, q)
+                      if not any(form.faces for form in pair))
+            closed = [frozenset(normalize(degeneracy_word(s), q) for s in pair)
+                      for pair in anchored_shuffle_pairs(q, i)]
+            assert all(len(pair) == 2 for pair in closed)
+            assert em == mod2(closed) == set(closed), (q, i)
 
 
 def test_top_operation_is_the_square_defect():
